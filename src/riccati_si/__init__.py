@@ -46,9 +46,7 @@ from .ilrsi import (
     ilrsi_init,
     ilrsi_solve,
     ilrsi_step,
-    lrsi_reference_step,
     residual_norm,
-    truncate_basis,
 )
 from .rksm import (
     DistinctShiftBasisData,
@@ -98,9 +96,7 @@ __all__ = [
     "ilrsi_init",
     "ilrsi_step",
     "ilrsi_solve",
-    "lrsi_reference_step",
     "residual_norm",
-    "truncate_basis",
     "build_distinct_basis",
     "check_sylvester_identity",
     "check_entrywise_T",

@@ -198,9 +198,8 @@ def _dense_fixed_point_run(problem, shifts, cfg):
     X = None
     n = problem.n
     for it in range(1, cfg.max_iter + 1):
-        seq = [vals[i % len(vals)] for i in range(it)]
-        traj = dense_subspace_iteration(problem, seq)
-        X = traj[-1].X
+        alpha = vals[(it - 1) % len(vals)]
+        X = dense_subspace_iteration(problem, [alpha], X0=X)[-1].X
         rel = float(np.linalg.norm(
             care_residual(problem.A.toarray(), problem.B, problem.C, X))) / cc
         s = np.linalg.svd(X, compute_uv=False)

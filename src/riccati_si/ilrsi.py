@@ -1,21 +1,21 @@
 """Incremental low-rank subspace iteration (one sparse solve per step).
 
 The iterate is kept as X = V T^{-1} V* with V growing by p columns per step.
-Each step applies a shifted resolvent to the previous direction block only;
-the small matrix T is updated through a structured change of basis (a cyclic
-permutation, a unit upper triangle of ones, and a bidiagonal factor, each
-applied as solves). The residual norm comes from an incrementally updated QR
-factorization of [C*, A*V, E*V].
+The step is written in residual-factor form (the RADI recursion of Benner,
+Bujanovic, Kurschner and Saak, which produces the same iterates): the state
+is an n x p factor R_k with residual R(X_k) = R_k R_k*, and each step solves
+the closed-loop shifted system once with R_{k-1}. T is block diagonal, one
+p x p block per step, and the residual norm is ||R_k* R_k||_F.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 from scipy.sparse.linalg import splu
 
 from .problems import CareProblem
@@ -24,8 +24,8 @@ CSV_HEADER = "iter,dim,rank,rel_residual,seconds"
 
 
 class SolverBreakdown(RuntimeError):
-    """Raised when a shifted solve is singular or T loses symmetry beyond
-    repair; carries the offending shift and the partial history if any."""
+    """Raised when a shifted solve is singular or yields non-finite values;
+    carries the offending shift and the partial history if any."""
 
     def __init__(self, message, shift=None, history=None):
         super().__init__(message)
@@ -72,14 +72,11 @@ class ConvergenceHistory:
 
 @dataclass
 class LowRankSolution:
-    """X = V T^{-1} V*, with an optional compressed factorization
-    V ~ basis_orth @ coeff refreshed by truncate_basis."""
+    """X = V T^{-1} V*."""
 
     V: np.ndarray
     T: np.ndarray
     shifts_used: tuple = ()
-    basis_orth: np.ndarray | None = None
-    coeff: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -118,10 +115,6 @@ class IncrementalQR:
         self.Q = np.zeros((n, 0), dtype=complex)
         self.R = np.zeros((0, 0), dtype=complex)
 
-    @property
-    def ncols(self) -> int:
-        return self.R.shape[1]
-
     def add(self, cols):
         cols = np.asarray(cols, dtype=complex)
         for j in range(cols.shape[1]):
@@ -159,10 +152,6 @@ class ResidualTracker:
         self.qr = IncrementalQR(problem.n)
         self.qr.add(problem.C.conj().T.astype(complex))
         self.widths = []
-
-    @property
-    def steps(self) -> int:
-        return len(self.widths)
 
     def add_step(self, x_cols, y_cols):
         if x_cols.shape[1] != y_cols.shape[1]:
@@ -209,91 +198,17 @@ def _middle_matrix(Tinv_like, VFV, p):
     return M
 
 
-# ---------------------------------------------------------------------------
-# structured change-of-basis factor
-#
-# The k x k matrix Q relating the freshly solved directions to the nested
-# basis factors as a product (cyclic permutation) (unit upper triangle of
-# ones) (lower bidiagonal); it is never assembled beyond k x k, and systems
-# with kron(Q, I_p) are solved through the three factors.
-
-def _assemble_q(shift_list):
-    """Dense k x k Q from its closed-form entries (cross-check / tests)."""
-    k = len(shift_list)
-    a_k = shift_list[-1].real
-    Q = np.zeros((k, k), dtype=complex)
-    Q[:, k - 1] = 1.0
-    for j in range(k - 1):
-        a_j = shift_list[j].real
-        Q[:j, j] = a_j / a_k
-        Q[j, j] = (shift_list[j] - shift_list[-1]) / (2.0 * a_k)
-        Q[k - 1, j] = a_j / a_k
-    return Q
-
-
-def _bid_coeffs(shift_list):
-    k = len(shift_list)
-    a_k = shift_list[-1].real
-    alpha_k = shift_list[-1]
-    d = [(np.conj(shift_list[s]) + alpha_k) / (2.0 * a_k) for s in range(k - 1)]
-    d.append(1.0 + 0.0j)
-    sub = [(shift_list[s] - alpha_k) / (2.0 * a_k) for s in range(k - 1)]
-    return d, sub
-
-
-def _q_solve(shift_list, M, p):
-    """Solve kron(Q, I_p) X = M through the three structured factors."""
-    k = len(shift_list)
-    M = np.asarray(M, dtype=complex)
-    cols = M.shape[1]
-    Y = M.reshape(k, p, cols)
-    Y = np.roll(Y, 1, axis=0)                # cyclic permutation, inverted
-    Z = Y.copy()
-    Z[:-1] -= Y[1:]                          # unit-upper-of-ones, inverted
-    d, sub = _bid_coeffs(shift_list)
-    X = np.empty_like(Z)
-    X[0] = Z[0] / d[0]
-    for i in range(1, k):
-        X[i] = (Z[i] - sub[i - 1] * X[i - 1]) / d[i]
-    return X.reshape(k * p, cols)
-
-
-def _q_solve_h(shift_list, M, p):
-    """Solve kron(Q, I_p)^H X = M through the three structured factors."""
-    k = len(shift_list)
-    M = np.asarray(M, dtype=complex)
-    cols = M.shape[1]
-    B = M.reshape(k, p, cols)
-    d, sub = _bid_coeffs(shift_list)
-    W = np.empty_like(B)
-    W[k - 1] = B[k - 1] / np.conj(d[k - 1])
-    for i in range(k - 2, -1, -1):
-        W[i] = (B[i] - np.conj(sub[i]) * W[i + 1]) / np.conj(d[i])
-    U = W.copy()
-    U[1:] -= W[:-1]                          # transpose of the ones factor
-    X = np.roll(U, -1, axis=0)               # transpose of the permutation
-    return X.reshape(k * p, cols)
-
-
-def _kron_solve(S, M, p):
-    """Solve kron(S, I_p) X = M for small dense S."""
-    k = S.shape[0]
-    M = np.asarray(M, dtype=complex)
-    return np.linalg.solve(S, M.reshape(k, -1)).reshape(k * p, M.shape[1])
-
-
 @dataclass
 class IlrsiState:
-    """Loop state: growing factors, the last direction block, the previous
-    shift, the residual QR, and the cached shifted factorizations."""
+    """Loop state: the growing factors, the n x p residual factor R_k (kept
+    under the name ``tracker``), the feedback K_k = E* X_k B, and the cached
+    shifted factorizations."""
 
     problem: CareProblem
     V: np.ndarray
     T: np.ndarray
-    v_last: np.ndarray
-    alpha_prev: complex
-    k: int
-    tracker: ResidualTracker
+    tracker: np.ndarray
+    K: np.ndarray
     shifts_used: list
     _lu_cache: dict = field(default_factory=dict, repr=False)
     _Astar: sp.spmatrix = None
@@ -322,200 +237,103 @@ def _solve_shifted(state: IlrsiState, alpha, rhs):
                 f"-A* + alpha E* is singular for alpha = {key}", shift=key
             ) from exc
         state._lu_cache[key] = lu
-    out = lu.solve(np.asarray(rhs, dtype=complex))
-    if not np.isfinite(out).all():
-        raise SolverBreakdown(
-            f"shifted solve produced non-finite values for alpha = {key}",
-            shift=key,
-        )
-    return out
+    return lu.solve(np.asarray(rhs, dtype=complex))
 
 
-def ilrsi_init(problem: CareProblem, alpha1) -> IlrsiState:
-    """First step: v_1 = -2 a_1 (-A* + alpha_1 E*)^{-1} C*, and the matching
-    p x p matrix T_1 = 2 a_1 I + (1 / 2 a_1) (B* v_1)* (B* v_1)."""
-    alpha1 = complex(alpha1)
-    a1 = alpha1.real
-    if a1 <= 0:
-        raise ValueError(f"shift must have positive real part, got {alpha1}")
-    Astar = problem.A.conj().T.tocsr().astype(complex)
-    Estar = None if problem.E is None else problem.E.conj().T.tocsr().astype(complex)
-    state = IlrsiState(
-        problem=problem,
-        V=np.zeros((problem.n, 0), dtype=complex),
-        T=np.zeros((0, 0), dtype=complex),
-        v_last=None,
-        alpha_prev=alpha1,
-        k=0,
-        tracker=ResidualTracker(problem),
-        shifts_used=[],
-        _Astar=Astar,
-        _Estar=Estar,
-    )
-    Cstar = problem.C.conj().T.astype(complex)
-    v1 = -2.0 * a1 * _solve_shifted(state, alpha1, Cstar)
-    w = problem.B.conj().T @ v1
-    T1 = 2.0 * a1 * np.eye(problem.p, dtype=complex) + (w.conj().T @ w) / (2.0 * a1)
-    state.V = v1
-    state.T = T1
-    state.v_last = v1
-    state.k = 1
-    state.shifts_used = [alpha1]
-    ev = v1 if Estar is None else Estar @ v1
-    state.tracker.add_step(Astar @ v1, ev)
-    return state
+def ilrsi_step(state: IlrsiState, alpha) -> IlrsiState:
+    """Advance the iteration by one shift, in residual-factor form:
 
+        v_k   = -2 a_k (-A* + alpha_k E* + K B*)^{-1} R_{k-1}
+        Y_k   = 2 a_k I + (B* v_k)* (B* v_k) / (2 a_k)
+        R_k   = R_{k-1} + 2 a_k E* v_k Y_k^{-1}
+        K_k   = K_{k-1} + E* v_k Y_k^{-1} (v_k* B)
 
-def ilrsi_step(state: IlrsiState, alpha_k) -> IlrsiState:
-    """Advance the iteration by one shift.
-
-    The new direction comes from the previous one through a single shifted
-    solve; the small matrix is rebuilt from the previous T, the new Gram
-    data of B*V, and the structured change-of-basis solves. T is symmetrized
-    afterwards; drift beyond 1e-10 relative is a breakdown.
+    The closed-loop solve is one cached solve with [R, K] and a q x q
+    Woodbury correction. V gains v_k and T gains the diagonal block Y_k.
     """
-    alpha_k = complex(alpha_k)
-    a_k = alpha_k.real
-    if a_k <= 0:
-        raise ValueError(f"shift must have positive real part, got {alpha_k}")
-    if state.k < 1:
-        raise ValueError("state has no completed first step")
-    a_prev = state.alpha_prev.real
-    rhs = state.v_last if state._Estar is None else state._Estar @ state.v_last
-    vk = (a_k / a_prev) * (
-        state.v_last
-        - (np.conj(state.alpha_prev) + alpha_k) * _solve_shifted(state, alpha_k, rhs)
-    )
-    V = np.hstack([state.V, vk])
-    shift_list = state.shifts_used + [alpha_k]
-    k = len(shift_list)
-    p = state.problem.p
-
-    W = state.problem.B.conj().T @ V
-    G1 = W.conj().T @ W
-    Z = _q_solve_h(shift_list, G1, p)
-    Y = _q_solve_h(shift_list, Z.conj().T, p).conj().T
-
-    kp_prev = state.T.shape[0]
-    Ttil = np.zeros((k * p, k * p), dtype=complex)
-    Ttil[:kp_prev, :kp_prev] = state.T
-    Ttil[kp_prev:, kp_prev:] = 2.0 * a_k * np.eye(p)
-    Ttil += Y / (2.0 * a_k)
-
-    Qs_inv = _q_solve(shift_list, np.eye(k, dtype=complex), 1)
-    Ps = Qs_inv + np.diag([1.0] * (k - 1) + [0.0])
-    Tnew = _kron_solve(Ps.conj().T, Ttil, p)
-    Tnew = _kron_solve(Ps.conj().T, Tnew.conj().T, p).conj().T
-
-    drift = np.linalg.norm(Tnew - Tnew.conj().T) / max(np.linalg.norm(Tnew), 1e-300)
-    if drift > 1e-10:
-        raise SolverBreakdown(
-            f"T lost Hermitian symmetry (relative drift {drift:.2e}) at "
-            f"step {k}", shift=alpha_k,
-        )
-    if drift > 1e-12:
-        warnings.warn(f"T symmetry drift {drift:.2e} at step {k}", stacklevel=2)
-    Tnew = 0.5 * (Tnew + Tnew.conj().T)
-
-    state.V = V
-    state.T = Tnew
-    state.v_last = vk
-    state.alpha_prev = alpha_k
-    state.k = k
-    state.shifts_used = shift_list
-    ev = vk if state._Estar is None else state._Estar @ vk
-    state.tracker.add_step(state._Astar @ vk, ev)
-    return state
-
-
-def lrsi_reference_step(U_prev, T_prev, problem: CareProblem, alpha):
-    """Reference recursion: carries every previous column through the new
-    resolvent instead of only the last block.
-
-    U_k = [(-A*+aI)^{-1}(-A*-conj(a)I) U_{k-1},  -2 Re(a) (-A*+aI)^{-1} C*],
-    with the matching T update evaluated through B (the n x n quadratic
-    coefficient is never formed). With an empty U the step reproduces
-    ilrsi_init exactly.
-    """
-    if problem.E is not None:
-        raise ValueError("reference recursion is defined for E = identity only")
     alpha = complex(alpha)
     a = alpha.real
     if a <= 0:
         raise ValueError(f"shift must have positive real part, got {alpha}")
-    U_prev = np.asarray(U_prev, dtype=complex)
-    T_prev = np.asarray(T_prev, dtype=complex)
-    n = problem.n
-    Astar = problem.A.conj().T.tocsc().astype(complex)
-    M = -Astar + alpha * sp.identity(n, format="csc", dtype=complex)
-    lu = splu(M.tocsc())
-    Cstar = problem.C.conj().T.astype(complex)
-    carried = lu.solve(-(Astar @ U_prev) - np.conj(alpha) * U_prev) \
-        if U_prev.shape[1] else U_prev
-    fresh = -2.0 * a * lu.solve(Cstar)
-    U = np.hstack([carried, fresh])
+    p = state.problem.p
+    Bh = state.problem.B.conj().T
+    S = _solve_shifted(state, alpha, np.hstack([state.tracker, state.K]))
+    SR, SK = S[:, :p], S[:, p:]
+    try:
+        corr = np.linalg.solve(np.eye(SK.shape[1]) + Bh @ SK, Bh @ SR)
+    except np.linalg.LinAlgError as exc:
+        raise SolverBreakdown(
+            f"closed-loop correction is singular for alpha = {alpha}",
+            shift=alpha,
+        ) from exc
+    v = -2.0 * a * (SR - SK @ corr)
+    if not np.isfinite(v).all():
+        raise SolverBreakdown(
+            f"shifted solve produced non-finite values for alpha = {alpha}",
+            shift=alpha,
+        )
+    w = Bh @ v
+    Yk = 2.0 * a * np.eye(p) + (w.conj().T @ w) / (2.0 * a)
+    ev = v if state._Estar is None else state._Estar @ v
+    evY = ev @ np.linalg.inv(Yk)
+    state.tracker = state.tracker + 2.0 * a * evY
+    state.K = state.K + evY @ w.conj().T
+    state.V = np.hstack([state.V, v])
+    state.T = block_diag(state.T, Yk)
+    state.shifts_used = state.shifts_used + [alpha]
+    return state
 
-    Wm = lu.solve(np.hstack([U_prev, Cstar]))
-    wB = problem.B.conj().T @ Wm
-    c = U_prev.shape[1]
-    p = problem.p
-    T = np.zeros((c + p, c + p), dtype=complex)
-    T[:c, :c] = T_prev
-    T[c:, c:] = 2.0 * a * np.eye(p)
-    T += 2.0 * a * (wB.conj().T @ wB)
-    T = 0.5 * (T + T.conj().T)
-    return U, T
+
+def ilrsi_init(problem: CareProblem, alpha1) -> IlrsiState:
+    """First step from R_0 = C*, K_0 = 0: v_1 = -2 a_1 (-A* + alpha_1 E*)^{-1}
+    C* and T_1 = 2 a_1 I + (1 / 2 a_1) (B* v_1)* (B* v_1)."""
+    n = problem.n
+    state = IlrsiState(
+        problem=problem,
+        V=np.zeros((n, 0), dtype=complex),
+        T=np.zeros((0, 0), dtype=complex),
+        tracker=problem.C.conj().T.astype(complex),
+        K=np.zeros((n, problem.q), dtype=complex),
+        shifts_used=[],
+        _Astar=problem.A.conj().T.tocsr().astype(complex),
+        _Estar=None if problem.E is None
+        else problem.E.conj().T.tocsr().astype(complex),
+    )
+    return ilrsi_step(state, alpha1)
 
 
 def residual_norm(problem: CareProblem, solution: LowRankSolution,
-                  qr_state: ResidualTracker | None = None) -> float:
+                  residual_factor: np.ndarray | None = None) -> float:
     """Frobenius norm of A*XE + E*XA - E*X BB* X E + C*C at X = V T^{-1} V*,
-    evaluated through the (p + 2kp)-column QR sandwich, never forming the
-    n x n residual."""
+    never forming the n x n residual.
+
+    Given the n x p residual factor R of the iterate (``IlrsiState.tracker``)
+    the residual is R R*, and its norm is ||R* R||_F. Without it the norm is
+    evaluated through the (p + 2 dim)-column QR sandwich of [C*, A*V, E*V].
+    """
     p = problem.p
+    if residual_factor is not None:
+        R = np.asarray(residual_factor)
+        if R.shape != (problem.n, p):
+            raise ValueError(
+                f"residual factor has shape {R.shape}, expected "
+                f"{(problem.n, p)}"
+            )
+        return float(np.linalg.norm(R.conj().T @ R))
     if solution.dim == 0:
         return float(np.linalg.norm(problem.C @ problem.C.conj().T))
-    if qr_state is None:
-        qr_state = ResidualTracker(problem)
-        Astar = problem.A.conj().T.tocsr().astype(complex)
-        Estar = None if problem.E is None else problem.E.conj().T.tocsr().astype(complex)
-        for j in range(solution.dim // p):
-            blk = solution.V[:, j * p:(j + 1) * p]
-            ev = blk if Estar is None else Estar @ blk
-            qr_state.add_step(Astar @ blk, ev)
-    expected = p + 2 * solution.dim
-    if qr_state.qr.ncols != expected:
-        raise ValueError(
-            f"QR state tracks {qr_state.qr.ncols} columns but the solution "
-            f"needs {expected}"
-        )
     try:
         Ti = np.linalg.solve(solution.T, np.eye(solution.dim, dtype=complex))
     except np.linalg.LinAlgError as exc:
         raise ValueError(
-            "T is numerically singular; compress the basis with "
-            "truncate_basis before evaluating the residual"
+            "T is numerically singular, so X = V T^{-1} V* is undefined"
         ) from exc
-    W = problem.B.conj().T @ solution.V
-    VFV = W.conj().T @ W
-    return qr_state.weighted_norm(_middle_matrix(Ti, VFV, p))
-
-
-def truncate_basis(solution: LowRankSolution, truncation_tol) -> LowRankSolution:
-    """Refresh the compressed storage: orthonormal factor times coefficient,
-    keeping singular values above truncation_tol relative to the largest.
-    V and T themselves are left untouched, so the represented X changes only
-    at the truncation level."""
-    if not 0.0 < truncation_tol < 1.0:
-        raise ValueError("truncation_tol must be in (0, 1)")
-    if solution.dim == 0:
-        return solution
-    U, s, Wh = np.linalg.svd(solution.V, full_matrices=False)
-    r = int(np.count_nonzero(s > truncation_tol * s[0]))
-    return LowRankSolution(
-        V=solution.V, T=solution.T, shifts_used=solution.shifts_used,
-        basis_orth=U[:, :r], coeff=s[:r, None] * Wh[:r],
-    )
+    V = solution.V
+    tracker = ResidualTracker(problem)
+    EV = V if problem.E is None else problem.E.conj().T @ V
+    tracker.add_step(problem.A.conj().T @ V, EV)
+    W = problem.B.conj().T @ V
+    return tracker.weighted_norm(_middle_matrix(Ti, W.conj().T @ W, p))
 
 
 _DEFAULT_OPTIONS = {
@@ -547,6 +365,8 @@ def _numerical_rank(V, tol):
 def ilrsi_solve(problem: CareProblem, shifts, options=None, **kwargs):
     """Run the incremental iteration until the relative residual drops below
     tol or max_iter steps are spent; the shift list is cycled as needed.
+    truncation_tol, when given, is the relative singular-value cutoff of the
+    history's rank column (default 1e-12); it does not change the iterate.
 
     Returns (solution, history). A breakdown is re-raised with the partial
     history attached.
@@ -596,7 +416,4 @@ def ilrsi_solve(problem: CareProblem, shifts, options=None, **kwargs):
         exc.history = history
         raise
 
-    solution = state.solution
-    if opts["truncation_tol"] is not None:
-        solution = truncate_basis(solution, opts["truncation_tol"])
-    return solution, history
+    return state.solution, history

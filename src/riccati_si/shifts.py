@@ -56,7 +56,7 @@ class ShiftSequence:
 
     @property
     def reals(self):
-        """Cached real parts a_k = Re(alpha_k)."""
+        """Real parts a_k = Re(alpha_k), computed on each access."""
         return tuple(v.real for v in self.values)
 
     def __len__(self):

@@ -6,6 +6,7 @@ importing solver internals, so that agreement is meaningful.
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from riccati_si import CareProblem
 
@@ -87,3 +88,42 @@ def projector_distance(U, W):
     Pu = Qu @ Qu.conj().T
     Pw = Qw @ Qw.conj().T
     return float(np.linalg.norm(Pu - Pw, 2))
+
+
+def lrsi_reference_step(U_prev, T_prev, problem: CareProblem, alpha):
+    """Reference recursion: carries every previous column through the new
+    resolvent instead of only the last block.
+
+    U_k = [(-A*+aI)^{-1}(-A*-conj(a)I) U_{k-1},  -2 Re(a) (-A*+aI)^{-1} C*],
+    with the matching T update evaluated through B (the n x n quadratic
+    coefficient is never formed). With an empty U the step reproduces
+    ilrsi_init exactly.
+    """
+    if problem.E is not None:
+        raise ValueError("reference recursion is defined for E = identity only")
+    alpha = complex(alpha)
+    a = alpha.real
+    if a <= 0:
+        raise ValueError(f"shift must have positive real part, got {alpha}")
+    U_prev = np.asarray(U_prev, dtype=complex)
+    T_prev = np.asarray(T_prev, dtype=complex)
+    n = problem.n
+    Astar = problem.A.conj().T.tocsc().astype(complex)
+    M = -Astar + alpha * sp.identity(n, format="csc", dtype=complex)
+    lu = splu(M.tocsc())
+    Cstar = problem.C.conj().T.astype(complex)
+    carried = lu.solve(-(Astar @ U_prev) - np.conj(alpha) * U_prev) \
+        if U_prev.shape[1] else U_prev
+    fresh = -2.0 * a * lu.solve(Cstar)
+    U = np.hstack([carried, fresh])
+
+    Wm = lu.solve(np.hstack([U_prev, Cstar]))
+    wB = problem.B.conj().T @ Wm
+    c = U_prev.shape[1]
+    p = problem.p
+    T = np.zeros((c + p, c + p), dtype=complex)
+    T[:c, :c] = T_prev
+    T[c:, c:] = 2.0 * a * np.eye(p)
+    T += 2.0 * a * (wB.conj().T @ wB)
+    T = 0.5 * (T + T.conj().T)
+    return U, T

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args, env=None):
     full_env = dict(os.environ)
@@ -119,6 +121,30 @@ class TestRun:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["final_dim"] == 12
         assert summary["final_rel_residual"] <= 1e-10
+
+    def test_dense_fixed_point_follows_ilrsi(self, tmp_path):
+        # both solvers run the same iteration, so their residual histories
+        # agree row by row
+        histories = {}
+        for solver in ("dense_fixed_point", "ilrsi"):
+            cfg = write_config(
+                tmp_path / f"{solver}.json",
+                {"problem": {"kind": "random_stable", "n": 12}, "seed": 3,
+                 "solver": solver, "shifts": {"kind": "penzl", "m": 4},
+                 "tol": 1e-9, "max_iter": 30})
+            out = tmp_path / solver
+            proc = run_cli("run", "--config", cfg, "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["status"] == "converged"
+            rows = (out / "history.csv").read_text().splitlines()[1:]
+            histories[solver] = [row.split(",") for row in rows]
+        dense, low_rank = histories["dense_fixed_point"], histories["ilrsi"]
+        assert len(dense) == len(low_rank) > 2
+        assert all(row[1] == "12" for row in dense)
+        for d, r in zip(dense, low_rank):
+            assert float(d[3]) == pytest.approx(float(r[3]), rel=1e-6,
+                                                abs=1e-12)
 
 
 class TestCompare:
