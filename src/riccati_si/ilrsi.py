@@ -6,6 +6,13 @@ Bujanovic, Kurschner and Saak, which produces the same iterates): the state
 is an n x p factor R_k with residual R(X_k) = R_k R_k*, and each step solves
 the closed-loop shifted system once with R_{k-1}. T is block diagonal, one
 p x p block per step, and the residual norm is ||R_k* R_k||_F.
+
+Real data (A and E real; B and C always are) stays in real arithmetic: the
+state starts as float64 and only a complex shift promotes it, and each real
+shift is factored in real arithmetic. The LU column ordering is chosen once
+per problem from the sparsity pattern of A and E (``lu_ordering``) and kept
+on the state. The history's rank column comes from a thin QR of V grown by
+p columns per step, not from an SVD of V.
 """
 
 from __future__ import annotations
@@ -14,11 +21,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg import block_diag
 from scipy.sparse.linalg import splu
 
-from .problems import CareProblem
+from .problems import CareProblem, lu_ordering
 
 CSV_HEADER = "iter,dim,rank,rel_residual,seconds"
 
@@ -198,11 +206,68 @@ def _middle_matrix(Tinv_like, VFV, p):
     return M
 
 
+class _BasisQR:
+    """Thin QR V = Q R of the growing basis, kept for the numerical rank of
+    V: with Q orthonormal, V and the small R have the same singular values.
+
+    Each block of new columns is orthogonalized against the stored Q by
+    block classical Gram-Schmidt run twice, with a QR of the block between
+    the passes (BCGS2), so the second pass works on unit columns. A unit
+    column that the second pass shrinks below ``_drop_tol`` lay mostly in
+    span(Q), which happens only when its part outside span(Q) was rounding
+    noise of the block; such columns (found by a column-pivoted QR) are left
+    out, so Q keeps orthonormal columns, at most n of them, also when V is
+    rank-deficient. Q lives in a buffer that doubles its capacity when full;
+    R has one row per column of Q and one column per column of V."""
+
+    _drop_tol = 0.5
+
+    def __init__(self, n, dtype):
+        self._buf = np.zeros((n, 0), dtype=dtype)
+        self._k = 0
+        self.R = np.zeros((0, 0), dtype=dtype)
+
+    def add(self, W):
+        dtype = np.result_type(self._buf, W)
+        if dtype != self._buf.dtype:
+            self._buf = self._buf.astype(dtype)
+        Q = self._buf[:, :self._k]
+        S1 = Q.conj().T @ W
+        Y, R1 = np.linalg.qr(W - Q @ S1)
+        S2 = Q.conj().T @ Y
+        Z, Rz, piv = scipy.linalg.qr(Y - Q @ S2, mode="economic",
+                                     pivoting=True)
+        m = int(np.count_nonzero(np.abs(np.diag(Rz)) > self._drop_tol))
+        R22 = np.empty_like(Rz[:m])
+        R22[:, piv] = Rz[:m]
+        k, c = self.R.shape
+        R = np.zeros((k + m, c + W.shape[1]), dtype=dtype)
+        R[:k, :c] = self.R
+        R[:k, c:] = S1 + S2 @ R1
+        R[k:, c:] = R22 @ R1
+        self.R = R
+        if k + m > self._buf.shape[1]:
+            buf = np.zeros((self._buf.shape[0], max(2 * self._buf.shape[1],
+                                                    k + m)), dtype=dtype)
+            buf[:, :k] = Q
+            self._buf = buf
+        self._buf[:, k:k + m] = Z[:, :m]
+        self._k = k + m
+
+    def rank(self, tol) -> int:
+        """Count of singular values of V above tol times the largest."""
+        if self.R.size == 0:
+            return 0
+        s = np.linalg.svd(self.R, compute_uv=False)
+        return int(np.count_nonzero(s > tol * s[0]))
+
+
 @dataclass
 class IlrsiState:
     """Loop state: the growing factors, the n x p residual factor R_k (kept
-    under the name ``tracker``), the feedback K_k = E* X_k B, and the cached
-    shifted factorizations."""
+    under the name ``tracker``), the feedback K_k = E* X_k B, the cached
+    shifted factorizations with the LU column ordering they use, and the
+    thin QR of V behind the rank column."""
 
     problem: CareProblem
     V: np.ndarray
@@ -210,9 +275,11 @@ class IlrsiState:
     tracker: np.ndarray
     K: np.ndarray
     shifts_used: list
+    permc_spec: str
     _lu_cache: dict = field(default_factory=dict, repr=False)
     _Astar: sp.spmatrix = None
     _Estar: sp.spmatrix = None
+    _basis_qr: _BasisQR = field(default=None, repr=False)
 
     @property
     def solution(self) -> LowRankSolution:
@@ -220,24 +287,35 @@ class IlrsiState:
 
 
 def _solve_shifted(state: IlrsiState, alpha, rhs):
-    """Apply (-A* + alpha E*)^{-1}, factoring once per distinct shift."""
+    """Apply (-A* + alpha E*)^{-1}, factoring once per distinct shift.
+
+    A real shift of real data is factored in real arithmetic, any other
+    shift in complex arithmetic, with the state's column ordering. SuperLU
+    cannot apply a real factor to a complex right-hand side, so a complex
+    right-hand side of a real factor is solved as its real and imaginary
+    parts side by side."""
     key = complex(alpha)
+    real = key.imag == 0 and state._Astar.dtype.kind != "c"
     lu = state._lu_cache.get(key)
     if lu is None:
-        n = state.problem.n
+        shift = key.real if real else key
         M = -state._Astar.tocsc()
         if state._Estar is None:
-            M = M + key * sp.identity(n, format="csc", dtype=complex)
+            M = M + shift * sp.identity(state.problem.n, format="csc")
         else:
-            M = M + key * state._Estar.tocsc()
+            M = M + shift * state._Estar.tocsc()
         try:
-            lu = splu(M.tocsc())
+            lu = splu(M.tocsc(), permc_spec=state.permc_spec)
         except RuntimeError as exc:
             raise SolverBreakdown(
                 f"-A* + alpha E* is singular for alpha = {key}", shift=key
             ) from exc
         state._lu_cache[key] = lu
-    return lu.solve(np.asarray(rhs, dtype=complex))
+    if real and np.iscomplexobj(rhs):
+        m = rhs.shape[1]
+        X = lu.solve(np.hstack([rhs.real, rhs.imag]))
+        return X[:, :m] + 1j * X[:, m:]
+    return lu.solve(rhs)
 
 
 def ilrsi_step(state: IlrsiState, alpha) -> IlrsiState:
@@ -279,6 +357,7 @@ def ilrsi_step(state: IlrsiState, alpha) -> IlrsiState:
     state.tracker = state.tracker + 2.0 * a * evY
     state.K = state.K + evY @ w.conj().T
     state.V = np.hstack([state.V, v])
+    state._basis_qr.add(v)
     state.T = block_diag(state.T, Yk)
     state.shifts_used = state.shifts_used + [alpha]
     return state
@@ -286,18 +365,24 @@ def ilrsi_step(state: IlrsiState, alpha) -> IlrsiState:
 
 def ilrsi_init(problem: CareProblem, alpha1) -> IlrsiState:
     """First step from R_0 = C*, K_0 = 0: v_1 = -2 a_1 (-A* + alpha_1 E*)^{-1}
-    C* and T_1 = 2 a_1 I + (1 / 2 a_1) (B* v_1)* (B* v_1)."""
+    C* and T_1 = 2 a_1 I + (1 / 2 a_1) (B* v_1)* (B* v_1).
+
+    The state is float64 when A and E are real (B and C always are)."""
     n = problem.n
+    E = problem.E
+    dtype = np.result_type(problem.A.dtype, float,
+                           float if E is None else E.dtype)
     state = IlrsiState(
         problem=problem,
-        V=np.zeros((n, 0), dtype=complex),
-        T=np.zeros((0, 0), dtype=complex),
-        tracker=problem.C.conj().T.astype(complex),
-        K=np.zeros((n, problem.q), dtype=complex),
+        V=np.zeros((n, 0), dtype=dtype),
+        T=np.zeros((0, 0), dtype=dtype),
+        tracker=problem.C.conj().T.astype(dtype),
+        K=np.zeros((n, problem.q), dtype=dtype),
         shifts_used=[],
-        _Astar=problem.A.conj().T.tocsr().astype(complex),
-        _Estar=None if problem.E is None
-        else problem.E.conj().T.tocsr().astype(complex),
+        permc_spec=lu_ordering(problem.A, E),
+        _Astar=problem.A.conj().T.tocsr().astype(dtype),
+        _Estar=None if E is None else E.conj().T.tocsr().astype(dtype),
+        _basis_qr=_BasisQR(n, dtype),
     )
     return ilrsi_step(state, alpha1)
 
@@ -355,13 +440,6 @@ def _merge_options(options, kwargs):
     return opts
 
 
-def _numerical_rank(V, tol):
-    if V.shape[1] == 0:
-        return 0
-    s = np.linalg.svd(V, compute_uv=False)
-    return int(np.count_nonzero(s > tol * s[0]))
-
-
 def ilrsi_solve(problem: CareProblem, shifts, options=None, **kwargs):
     """Run the incremental iteration until the relative residual drops below
     tol or max_iter steps are spent; the shift list is cycled as needed.
@@ -404,7 +482,7 @@ def ilrsi_solve(problem: CareProblem, shifts, options=None, **kwargs):
                 rel = residual_norm(problem, state.solution, state.tracker) / cc_norm
             seconds = (time.monotonic() - t0) if opts["record_timing"] else 0.0
             history.append(it, dim=state.V.shape[1],
-                           rank=_numerical_rank(state.V, rank_tol),
+                           rank=state._basis_qr.rank(rank_tol),
                            rel_residual=rel, seconds=seconds)
             if evaluate and rel <= tol:
                 history.status = "converged"

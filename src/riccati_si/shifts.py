@@ -16,6 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .problems import lu_ordering
+
 ORIGINS = ("penzl_A", "penzl_H", "adaptive_ritz", "adaptive_stabilized", "user")
 
 _REAL_TOL = 1e-10
@@ -108,34 +110,36 @@ def rational_objective(shifts, spectrum) -> float:
 
 
 def _arnoldi_ritz(matvec, v0, steps):
-    """Ritz values from a modified-Gram-Schmidt Arnoldi run; returns
-    (ritz values, broke_down)."""
+    """Ritz values from a modified-Gram-Schmidt Arnoldi run in the dtype of
+    v0 (so matvec must map that dtype into itself); returns
+    (ritz values, broke_down). The basis is stored one vector per row."""
     n = v0.size
     steps = max(1, min(steps, n))
-    V = np.zeros((n, steps + 1), dtype=complex)
-    Hm = np.zeros((steps + 1, steps), dtype=complex)
+    dtype = np.result_type(v0, float)
+    V = np.zeros((steps + 1, n), dtype=dtype)
+    Hm = np.zeros((steps + 1, steps), dtype=dtype)
     nrm = np.linalg.norm(v0)
     if nrm == 0:
         raise ValueError("Arnoldi start vector is zero")
-    V[:, 0] = v0 / nrm
+    V[0] = v0 / nrm
     j_done = 0
     broke = False
     for j in range(steps):
-        w = np.asarray(matvec(V[:, j]), dtype=complex).ravel()
+        w = np.asarray(matvec(V[j]), dtype=dtype).ravel()
         for i in range(j + 1):
-            Hm[i, j] = np.vdot(V[:, i], w)
-            w -= Hm[i, j] * V[:, i]
+            Hm[i, j] = np.vdot(V[i], w)
+            w -= Hm[i, j] * V[i]
         for i in range(j + 1):
-            c = np.vdot(V[:, i], w)
+            c = np.vdot(V[i], w)
             Hm[i, j] += c
-            w -= c * V[:, i]
+            w -= c * V[i]
         hnext = np.linalg.norm(w)
         j_done = j + 1
         if hnext <= 1e-12 * max(1.0, np.linalg.norm(Hm[: j + 1, j])):
             broke = True
             break
         Hm[j + 1, j] = hnext
-        V[:, j + 1] = w / hnext
+        V[j + 1] = w / hnext
     ritz = np.linalg.eigvals(Hm[:j_done, :j_done])
     return ritz, broke
 
@@ -150,12 +154,13 @@ def _dedupe(points, tol=1e-8):
 
 def _hamiltonian_ops(problem):
     """Matvec and inverse-matvec with the Hamiltonian, never forming BB* or
-    C*C; the inverse uses a low-rank update of the solve with A."""
-    A = problem.A.tocsc().astype(complex)
-    B = problem.B.astype(complex)
-    C = problem.C.astype(complex)
+    C*C; the inverse uses a low-rank update of the solve with A. Both work
+    in the dtype of A (B and C are real)."""
+    A = problem.A.tocsc()
+    B = problem.B
+    C = problem.C
     n = problem.n
-    lu = splu(A)
+    lu = splu(A, permc_spec=lu_ordering(A))
     Astar_mv = A.conj().T.tocsr()
 
     def matvec(x):
@@ -169,7 +174,7 @@ def _hamiltonian_ops(problem):
     mid = B.conj().T @ AsinvCt          # q x p
     U = B @ mid                         # n x p
     AinvU = lu.solve(U)
-    small = np.eye(problem.p, dtype=complex) + C @ AinvU
+    small = np.eye(problem.p) + C @ AinvU
 
     def invvec(x):
         x1, x2 = x[:n], x[n:]
@@ -208,18 +213,19 @@ def penzl_shifts(problem, m=10, m1=20, m2=10, mode="on_A",
     notes = []
     if mode == "on_A":
         n = problem.n
-        A = problem.A.tocsc().astype(complex)
-        v0 = problem.B[:, 0].astype(complex)
+        A = problem.A.tocsc()
+        v0 = problem.B[:, 0].astype(np.result_type(A.dtype, float))
         if np.linalg.norm(v0) == 0:
-            v0 = np.ones(n, dtype=complex)
-        lu = splu(A)
+            v0 = np.ones(n, dtype=v0.dtype)
+        lu = splu(A, permc_spec=lu_ordering(A))
         ritz_op, br1 = _arnoldi_ritz(lambda x: A @ x, v0, min(m1, n))
         ritz_inv, br2 = _arnoldi_ritz(lu.solve, v0, min(m2, n))
         ritz = np.concatenate([ritz_op, 1.0 / ritz_inv[ritz_inv != 0]])
         mirrored = [-np.conj(z) for z in ritz]
     elif mode == "on_H":
         matvec, invvec = _hamiltonian_ops(problem)
-        v0 = np.ones(2 * problem.n, dtype=complex)
+        v0 = np.ones(2 * problem.n, dtype=np.result_type(problem.A.dtype,
+                                                          float))
         ritz_op, br1 = _arnoldi_ritz(matvec, v0, min(m1, 2 * problem.n))
         ritz_inv, br2 = _arnoldi_ritz(invvec, v0, min(m2, 2 * problem.n))
         mirrored = list(np.concatenate([ritz_op, 1.0 / ritz_inv[ritz_inv != 0]]))

@@ -16,6 +16,7 @@ from riccati_si import (
     ilrsi_solve,
     ilrsi_step,
     make_laplacian_problem,
+    make_toeplitz_problem,
     penzl_shifts,
     random_stable_problem,
     residual_norm,
@@ -198,6 +199,75 @@ class TestResidualNorm:
                               np.zeros((1, 1), dtype=complex))
         with pytest.raises(ValueError, match="numerically singular"):
             residual_norm(p, bad)
+
+
+class TestRealArithmetic:
+    def test_real_laplacian_stays_real(self):
+        p = make_laplacian_problem(10)
+        sh = list(penzl_shifts(p, m=4).values)
+        assert all(a.imag == 0 for a in sh)
+        state = None
+        for k in range(6):
+            a = sh[k % len(sh)]
+            state = ilrsi_init(p, a) if state is None else ilrsi_step(state, a)
+        for arr in (state.V, state.T, state.tracker, state.K):
+            assert arr.dtype == np.float64
+        assert len(state._lu_cache) == 4
+        for lu in state._lu_cache.values():
+            assert lu.L.dtype == lu.U.dtype == np.float64
+        assert state.permc_spec == "MMD_AT_PLUS_A"
+        # Toeplitz A has a structurally nonsymmetric band
+        assert ilrsi_init(make_toeplitz_problem(50), 1.0).permc_spec == \
+            "COLAMD"
+
+    def test_complex_rhs_on_real_factor(self):
+        # real data, E != I and shifts [real, pair, real]: after the pair the
+        # state is complex and the last shift's factor is real, so its solve
+        # splits the right-hand side into real and imaginary parts. The dense
+        # oracle runs on the equivalent E = I problem (E^{-1} A, E^{-1} B, C),
+        # whose iterates are E* X_k E.
+        rng = np.random.default_rng(3)
+        n = 20
+        base = random_stable_problem(n, 1, 1, seed=11)
+        E = np.eye(n) + 0.05 * rng.standard_normal((n, n))
+        p = CareProblem(A=base.A, B=base.B, C=base.C, E=sp.csr_matrix(E),
+                        check_stability=False)
+        Ei = np.linalg.inv(E)
+        pe = CareProblem(A=sp.csr_matrix(Ei @ base.A.toarray()),
+                         B=Ei @ base.B, C=base.C, check_stability=False)
+        sh = [1.2, 0.7 + 0.5j, 0.7 - 0.5j, 2.0]
+        traj = dense_subspace_iteration(pe, sh)
+        state = None
+        for a, it in zip(sh, traj):
+            state = ilrsi_init(p, a) if state is None else ilrsi_step(state, a)
+            X = state.solution.to_dense()
+            ref = Ei.conj().T @ it.X @ Ei
+            assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
+            R = state.tracker
+            res = dense_riccati_residual(p, X)
+            assert np.linalg.norm(R @ R.conj().T - res) <= \
+                1e-10 * np.linalg.norm(res)
+        assert np.iscomplexobj(state.tracker)
+        assert state._lu_cache[2.0].L.dtype == np.float64
+        assert np.isrealobj(X)
+
+    @pytest.mark.parametrize("m, alpha, steps, cutoff", [
+        (4, 30.0, 30, None),      # dim 30 > n = 16, rank saturates at 9
+        (30, 500.0, 60, 1e-8),    # columns decay below the cutoff
+    ])
+    def test_rank_column_matches_svd(self, m, alpha, steps, cutoff):
+        # one shift cycled until V is numerically rank-deficient; V only
+        # grows, so step k's basis is the first k columns of the final V
+        p = make_laplacian_problem(m)
+        sol, hist = ilrsi_solve(p, [alpha], tol=1e-30, max_iter=steps,
+                                truncation_tol=cutoff)
+        tol = cutoff or 1e-12
+        expect = []
+        for k in range(1, steps + 1):
+            s = np.linalg.svd(sol.V[:, :k], compute_uv=False)
+            expect.append(int(np.count_nonzero(s > tol * s[0])))
+        assert [r.rank for r in hist.records] == expect
+        assert expect[-1] < min(p.n, steps)
 
 
 class TestSolverLoop:

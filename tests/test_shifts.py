@@ -14,6 +14,7 @@ from riccati_si import (
     rational_objective,
 )
 from riccati_si.problems import CareProblem
+from riccati_si.shifts import _arnoldi_ritz
 import scipy.sparse as sp
 
 from oracles import brute_force_objective
@@ -124,6 +125,30 @@ class TestPenzl:
         s = penzl_shifts(p, m=4, mode="on_H")
         assert s.origin == "penzl_H"
         assert all(v.real > 0 for v in s.values)
+
+    def test_real_arnoldi_matches_complex(self):
+        # a real start vector keeps the run real; its Ritz values are those
+        # of the complex run, conjugate pairs included
+        p = random_stable_problem(40, 1, 1, seed=6)
+        v0 = np.arange(1.0, 41.0)
+        seen = set()
+
+        def matvec(x):
+            seen.add(x.dtype)
+            return p.A @ x
+
+        real, broke = _arnoldi_ritz(matvec, v0, 12)
+        assert seen == {np.dtype(float)}
+        cplx, broke_c = _arnoldi_ritz(matvec, v0.astype(complex), 12)
+        assert broke == broke_c and len(real) == len(cplx)
+        assert np.abs(real.imag).max() > 0
+        tol = 1e-10 * np.abs(cplx).max()
+        # each value has a partner in the other run, and its conjugate in
+        # its own run
+        gap = np.abs(real[:, None] - cplx[None, :])
+        assert gap.min(axis=0).max() <= tol and gap.min(axis=1).max() <= tol
+        assert np.abs(np.conj(real)[:, None] - real[None, :]).min(
+            axis=1).max() <= tol
 
     def test_budget_and_mode_validation(self):
         p = random_stable_problem(10, 1, 1, seed=0)
