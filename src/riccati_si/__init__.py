@@ -39,7 +39,6 @@ from .dense import (
 from .ilrsi import (
     CSV_HEADER,
     ConvergenceHistory,
-    IncrementalQR,
     LowRankSolution,
     ResidualTracker,
     SolverBreakdown,
@@ -66,7 +65,6 @@ __all__ = [
     "ShiftSequence",
     "LowRankSolution",
     "ConvergenceHistory",
-    "IncrementalQR",
     "ResidualTracker",
     "SolverBreakdown",
     "HamiltonianAnalysis",

@@ -8,11 +8,13 @@ the closed-loop shifted system once with R_{k-1}. T is block diagonal, one
 p x p block per step, and the residual norm is ||R_k* R_k||_F.
 
 Real data (A and E real; B and C always are) stays in real arithmetic: the
-state starts as float64 and only a complex shift promotes it, and each real
-shift is factored in real arithmetic. The LU column ordering is chosen once
-per problem from the sparsity pattern of A and E (``lu_ordering``) and kept
-on the state. The history's rank column comes from a thin QR of V grown by
-p columns per step, not from an SVD of V.
+state starts as float64 and only a complex shift promotes it. The shifted
+systems are factored and solved by ``ShiftedSolver``, which both iterations
+use: it factors each real shift in real arithmetic, applies the factor of a
+complex shift also to its conjugate, and uses the LU column ordering chosen
+once per problem from the sparsity pattern of A and E (``lu_ordering``).
+The history's rank column comes from a thin QR of V grown by p columns per
+step, not from an SVD of V.
 """
 
 from __future__ import annotations
@@ -97,7 +99,9 @@ class LowRankSolution:
     def apply(self, M):
         """X @ M without forming X."""
         if self.dim == 0:
-            return np.zeros((self.n, np.asarray(M).shape[1]), dtype=complex)
+            M = np.asarray(M)
+            return np.zeros((self.n, M.shape[1]),
+                            dtype=np.result_type(self.V, M))
         return self.V @ np.linalg.solve(self.T, self.V.conj().T @ M)
 
     def to_dense(self):
@@ -110,55 +114,17 @@ class LowRankSolution:
         return X
 
 
-class IncrementalQR:
-    """QR factorization grown a few columns at a time by Gram-Schmidt with
-    one reorthogonalization pass. Columns that fall inside the current span
-    add a coefficient column to R but no new direction, so R stays upper
-    trapezoidal (rank x total columns) and Q R reproduces every column
-    added, also past the point where the columns become dependent."""
-
-    _drop_tol = 1e-13
-
-    def __init__(self, n):
-        self.Q = np.zeros((n, 0), dtype=complex)
-        self.R = np.zeros((0, 0), dtype=complex)
-
-    def add(self, cols):
-        cols = np.asarray(cols, dtype=complex)
-        for j in range(cols.shape[1]):
-            w = cols[:, j].copy()
-            orig = np.linalg.norm(w)
-            h = np.zeros(self.Q.shape[1], dtype=complex)
-            for _ in range(2):
-                if self.Q.shape[1]:
-                    c = self.Q.conj().T @ w
-                    w -= self.Q @ c
-                    h += c
-            nrm = np.linalg.norm(w)
-            r, c = self.R.shape
-            if nrm <= self._drop_tol * max(orig, 1e-300):
-                Rn = np.zeros((r, c + 1), dtype=complex)
-                Rn[:, :c] = self.R
-                Rn[:, c] = h
-                self.R = Rn
-            else:
-                self.Q = np.hstack([self.Q, (w / nrm)[:, None]])
-                Rn = np.zeros((r + 1, c + 1), dtype=complex)
-                Rn[:r, :c] = self.R
-                Rn[:r, c] = h
-                Rn[r, c] = nrm
-                self.R = Rn
-
-
 class ResidualTracker:
-    """Incremental QR of [C*, A*V, E*V] in arrival order (C* first, then one
-    [A*v_k, E*v_k] pair per step), with the bookkeeping needed to evaluate
-    the residual norm as a sandwich R M R*."""
+    """Thin QR (``_BasisQR``) of [C*, A*V, E*V] in arrival order (C* first,
+    then one [A*v_k, E*v_k] pair per step), with the bookkeeping needed to
+    evaluate the residual norm as a sandwich R M R*. Q R reproduces every
+    tracked column, so ||J M J*||_F = ||R M R*||_F."""
 
     def __init__(self, problem: CareProblem):
         self.p = problem.p
-        self.qr = IncrementalQR(problem.n)
-        self.qr.add(problem.C.conj().T.astype(complex))
+        Cstar = problem.C.conj().T
+        self.qr = _BasisQR(problem.n, Cstar.dtype)
+        self.qr.add(Cstar)
         self.widths = []
 
     def add_step(self, x_cols, y_cols):
@@ -198,7 +164,8 @@ def _middle_matrix(Tinv_like, VFV, p):
     [[I, 0, 0], [0, 0, S], [0, S, -S (V*FV) S]] with S the (inverted) small
     matrix linking V to the iterate."""
     kp = Tinv_like.shape[0]
-    M = np.zeros((p + 2 * kp, p + 2 * kp), dtype=complex)
+    M = np.zeros((p + 2 * kp, p + 2 * kp),
+                 dtype=np.result_type(Tinv_like, VFV))
     M[:p, :p] = np.eye(p)
     M[p: p + kp, p + kp:] = Tinv_like
     M[p + kp:, p: p + kp] = Tinv_like
@@ -207,18 +174,24 @@ def _middle_matrix(Tinv_like, VFV, p):
 
 
 class _BasisQR:
-    """Thin QR V = Q R of the growing basis, kept for the numerical rank of
-    V: with Q orthonormal, V and the small R have the same singular values.
+    """Thin QR V = Q R of a growing set of columns: the basis behind the
+    rank column (with Q orthonormal, V and the small R have the same
+    singular values) and the columns of the residual tracker.
 
     Each block of new columns is orthogonalized against the stored Q by
     block classical Gram-Schmidt run twice, with a QR of the block between
-    the passes (BCGS2), so the second pass works on unit columns. A unit
-    column that the second pass shrinks below ``_drop_tol`` lay mostly in
-    span(Q), which happens only when its part outside span(Q) was rounding
-    noise of the block; such columns (found by a column-pivoted QR) are left
-    out, so Q keeps orthonormal columns, at most n of them, also when V is
-    rank-deficient. Q lives in a buffer that doubles its capacity when full;
-    R has one row per column of Q and one column per column of V."""
+    the passes (BCGS2), so the second pass works on unit columns. That QR is
+    column-pivoted: a column the first pass reduced to rounding noise (one
+    already in span(Q), or a repeat within the block) then comes last, with
+    a row of R at noise level, and its direction carries no part of the
+    other columns. A unit column that the second pass shrinks below
+    ``_drop_tol`` lay mostly in span(Q), which happens only when its part
+    outside span(Q) was rounding noise of the block; such columns (found by
+    a second column-pivoted QR) are left out, so Q keeps orthonormal
+    columns, at most n of them, also when V is rank-deficient. Q lives in a
+    buffer that doubles its capacity when full; R has one row per column of
+    Q and one column per column of V. Products with the buffer are formed
+    as (W* Q)*, which never copies its conjugate."""
 
     _drop_tol = 0.5
 
@@ -227,14 +200,22 @@ class _BasisQR:
         self._k = 0
         self.R = np.zeros((0, 0), dtype=dtype)
 
+    @property
+    def Q(self):
+        """The orthonormal columns, a view into the buffer."""
+        return self._buf[:, :self._k]
+
     def add(self, W):
         dtype = np.result_type(self._buf, W)
         if dtype != self._buf.dtype:
             self._buf = self._buf.astype(dtype)
-        Q = self._buf[:, :self._k]
-        S1 = Q.conj().T @ W
-        Y, R1 = np.linalg.qr(W - Q @ S1)
-        S2 = Q.conj().T @ Y
+        Q = self.Q
+        S1 = (W.conj().T @ Q).conj().T
+        Y, R1p, piv1 = scipy.linalg.qr(W - Q @ S1, mode="economic",
+                                       pivoting=True)
+        R1 = np.empty_like(R1p)
+        R1[:, piv1] = R1p
+        S2 = (Y.conj().T @ Q).conj().T
         Z, Rz, piv = scipy.linalg.qr(Y - Q @ S2, mode="economic",
                                      pivoting=True)
         m = int(np.count_nonzero(np.abs(np.diag(Rz)) > self._drop_tol))
@@ -262,12 +243,63 @@ class _BasisQR:
         return int(np.count_nonzero(s > tol * s[0]))
 
 
+class ShiftedSolver:
+    """Applies (-A* + alpha E*)^{-1}, factoring once per distinct shift; the
+    one place where the iterations factor and solve shifted systems.
+
+    It holds A* and E* in the dtype of the data (float64 when A and E are
+    real; B and C always are), the LU column ordering chosen from their
+    sparsity pattern (``lu_ordering``) and the factor cache. On real data a
+    real shift is factored in real arithmetic, and a complex shift whose
+    conjugate is already factored reuses that factor, because
+    (-A* + conj(alpha) E*)^{-1} y = conj((-A* + alpha E*)^{-1} conj(y)).
+    Any other shift gets one complex factor. SuperLU cannot apply a real
+    factor to a complex right-hand side, so such a right-hand side is solved
+    as its real and imaginary parts side by side."""
+
+    def __init__(self, problem: CareProblem):
+        E = problem.E
+        self.n = problem.n
+        self.dtype = np.result_type(problem.A.dtype, float,
+                                    float if E is None else E.dtype)
+        self.Astar = problem.A.conj().T.tocsc().astype(self.dtype)
+        self.Estar = None if E is None else \
+            E.conj().T.tocsc().astype(self.dtype)
+        self.permc_spec = lu_ordering(problem.A, E)
+        self.cache = {}
+
+    def solve(self, alpha, rhs):
+        key = complex(alpha)
+        real_data = self.dtype.kind != "c"
+        if real_data and key not in self.cache and \
+                key.conjugate() in self.cache:
+            return self.cache[key.conjugate()].solve(rhs.conj()).conj()
+        real_factor = real_data and key.imag == 0
+        lu = self.cache.get(key)
+        if lu is None:
+            shift = key.real if real_factor else key
+            E = sp.identity(self.n, format="csc") if self.Estar is None \
+                else self.Estar
+            try:
+                lu = splu(shift * E - self.Astar, permc_spec=self.permc_spec)
+            except RuntimeError as exc:
+                raise SolverBreakdown(
+                    f"-A* + alpha E* is singular for alpha = {key}", shift=key
+                ) from exc
+            self.cache[key] = lu
+        if real_factor and np.iscomplexobj(rhs):
+            m = rhs.shape[1]
+            X = lu.solve(np.hstack([rhs.real, rhs.imag]))
+            return X[:, :m] + 1j * X[:, m:]
+        return lu.solve(rhs)
+
+
 @dataclass
 class IlrsiState:
     """Loop state: the growing factors, the n x p residual factor R_k (kept
-    under the name ``tracker``), the feedback K_k = E* X_k B, the cached
-    shifted factorizations with the LU column ordering they use, and the
-    thin QR of V behind the rank column."""
+    under the name ``tracker``), the feedback K_k = E* X_k B, the shifted
+    solves with their cached factorizations, and the thin QR of V behind the
+    rank column."""
 
     problem: CareProblem
     V: np.ndarray
@@ -275,47 +307,12 @@ class IlrsiState:
     tracker: np.ndarray
     K: np.ndarray
     shifts_used: list
-    permc_spec: str
-    _lu_cache: dict = field(default_factory=dict, repr=False)
-    _Astar: sp.spmatrix = None
-    _Estar: sp.spmatrix = None
+    shifted: ShiftedSolver = field(repr=False)
     _basis_qr: _BasisQR = field(default=None, repr=False)
 
     @property
     def solution(self) -> LowRankSolution:
         return LowRankSolution(self.V, self.T, tuple(self.shifts_used))
-
-
-def _solve_shifted(state: IlrsiState, alpha, rhs):
-    """Apply (-A* + alpha E*)^{-1}, factoring once per distinct shift.
-
-    A real shift of real data is factored in real arithmetic, any other
-    shift in complex arithmetic, with the state's column ordering. SuperLU
-    cannot apply a real factor to a complex right-hand side, so a complex
-    right-hand side of a real factor is solved as its real and imaginary
-    parts side by side."""
-    key = complex(alpha)
-    real = key.imag == 0 and state._Astar.dtype.kind != "c"
-    lu = state._lu_cache.get(key)
-    if lu is None:
-        shift = key.real if real else key
-        M = -state._Astar.tocsc()
-        if state._Estar is None:
-            M = M + shift * sp.identity(state.problem.n, format="csc")
-        else:
-            M = M + shift * state._Estar.tocsc()
-        try:
-            lu = splu(M.tocsc(), permc_spec=state.permc_spec)
-        except RuntimeError as exc:
-            raise SolverBreakdown(
-                f"-A* + alpha E* is singular for alpha = {key}", shift=key
-            ) from exc
-        state._lu_cache[key] = lu
-    if real and np.iscomplexobj(rhs):
-        m = rhs.shape[1]
-        X = lu.solve(np.hstack([rhs.real, rhs.imag]))
-        return X[:, :m] + 1j * X[:, m:]
-    return lu.solve(rhs)
 
 
 def ilrsi_step(state: IlrsiState, alpha) -> IlrsiState:
@@ -335,7 +332,7 @@ def ilrsi_step(state: IlrsiState, alpha) -> IlrsiState:
         raise ValueError(f"shift must have positive real part, got {alpha}")
     p = state.problem.p
     Bh = state.problem.B.conj().T
-    S = _solve_shifted(state, alpha, np.hstack([state.tracker, state.K]))
+    S = state.shifted.solve(alpha, np.hstack([state.tracker, state.K]))
     SR, SK = S[:, :p], S[:, p:]
     try:
         corr = np.linalg.solve(np.eye(SK.shape[1]) + Bh @ SK, Bh @ SR)
@@ -352,7 +349,8 @@ def ilrsi_step(state: IlrsiState, alpha) -> IlrsiState:
         )
     w = Bh @ v
     Yk = 2.0 * a * np.eye(p) + (w.conj().T @ w) / (2.0 * a)
-    ev = v if state._Estar is None else state._Estar @ v
+    Estar = state.shifted.Estar
+    ev = v if Estar is None else Estar @ v
     evY = ev @ np.linalg.inv(Yk)
     state.tracker = state.tracker + 2.0 * a * evY
     state.K = state.K + evY @ w.conj().T
@@ -369,9 +367,8 @@ def ilrsi_init(problem: CareProblem, alpha1) -> IlrsiState:
 
     The state is float64 when A and E are real (B and C always are)."""
     n = problem.n
-    E = problem.E
-    dtype = np.result_type(problem.A.dtype, float,
-                           float if E is None else E.dtype)
+    shifted = ShiftedSolver(problem)
+    dtype = shifted.dtype
     state = IlrsiState(
         problem=problem,
         V=np.zeros((n, 0), dtype=dtype),
@@ -379,9 +376,7 @@ def ilrsi_init(problem: CareProblem, alpha1) -> IlrsiState:
         tracker=problem.C.conj().T.astype(dtype),
         K=np.zeros((n, problem.q), dtype=dtype),
         shifts_used=[],
-        permc_spec=lu_ordering(problem.A, E),
-        _Astar=problem.A.conj().T.tocsr().astype(dtype),
-        _Estar=None if E is None else E.conj().T.tocsr().astype(dtype),
+        shifted=shifted,
         _basis_qr=_BasisQR(n, dtype),
     )
     return ilrsi_step(state, alpha1)

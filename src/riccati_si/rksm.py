@@ -3,7 +3,15 @@ incremental subspace iteration.
 
 rksm_solve projects the Riccati equation onto a rational Krylov space built
 one resolvent solve per pole and solves the small projected equation densely
-each iteration. build_distinct_basis assembles the same space in its
+each iteration. The resolvent solves go through the shifted-solve service
+the incremental iteration uses (``ShiftedSolver``): on real data the state
+stays in real arithmetic until the first complex pole, real poles get real
+factors, and the conjugate partner of a complex pole reuses its factor.
+Adaptive poles after the first come from the eigenvalues of the projected
+matrices the loop already holds, not from products with the basis, and the
+residual's QR grows blockwise.
+
+build_distinct_basis assembles the same space (with the same solves) in its
 distinct-shift normal form V = [(-A*+a_1 I)^{-1}C*, ...] together with the
 structured small matrix T, on which the algebraic identities (Sylvester
 relation, entrywise closed form, Galerkin defect, rank-p residual) can be
@@ -17,8 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .problems import CareProblem
 from .dense import care_solve_dense, dense_threshold
@@ -26,11 +32,12 @@ from .ilrsi import (
     ConvergenceHistory,
     LowRankSolution,
     ResidualTracker,
+    ShiftedSolver,
     SolverBreakdown,
     _merge_options,
     _middle_matrix,
 )
-from .shifts import ShiftSequence, adaptive_pole
+from .shifts import ShiftSequence, _mirrored_ritz_pole, adaptive_pole
 
 _DISTINCT_TOL = 1e-12
 
@@ -69,17 +76,6 @@ class DistinctShiftBasisData:
     K: np.ndarray
 
 
-class _ReducedSolution:
-    """Duck-typed view X = U Y U* for pole selection callbacks."""
-
-    def __init__(self, U, Y):
-        self.U = U
-        self.Y = Y
-
-    def apply(self, M):
-        return self.U @ (self.Y @ (self.U.conj().T @ M))
-
-
 def _check_distinct(shifts):
     vals = [complex(s) for s in shifts]
     for i, a in enumerate(vals):
@@ -99,17 +95,10 @@ def build_distinct_basis(problem: CareProblem, shifts) -> DistinctShiftBasisData
     recursion (closed-form inverse factors, one growth step per shift)."""
     vals = _check_distinct(shifts)
     k = len(vals)
-    n, p = problem.n, problem.p
-    Astar = problem.A.conj().T.tocsc().astype(complex)
-    Estar = None if problem.E is None else problem.E.conj().T.tocsc().astype(complex)
-    Cstar = problem.C.conj().T.astype(complex)
-
-    blocks = []
-    for a in vals:
-        M = -Astar + (a * sp.identity(n, format="csc", dtype=complex)
-                      if Estar is None else a * Estar)
-        blocks.append(splu(M.tocsc()).solve(Cstar))
-    V = np.hstack(blocks)
+    p = problem.p
+    shifted = ShiftedSolver(problem)
+    Cstar = problem.C.conj().T
+    V = np.hstack([shifted.solve(a, Cstar) for a in vals])
 
     W = problem.B.conj().T @ V          # q x kp, so V*FV = W^H W
     Ip = np.eye(p, dtype=complex)
@@ -147,7 +136,7 @@ def build_distinct_basis(problem: CareProblem, shifts) -> DistinctShiftBasisData
     # numerically singular (overcomplete basis), and g/K are only
     # meaningful projections in the full-rank case anyway
     g = np.linalg.lstsq(VhV, V.conj().T @ Cstar, rcond=None)[0]
-    K = np.linalg.lstsq(VhV, V.conj().T @ (Astar @ V), rcond=None)[0]
+    K = np.linalg.lstsq(VhV, V.conj().T @ (shifted.Astar @ V), rcond=None)[0]
     return DistinctShiftBasisData(
         problem=problem, shifts=tuple(vals), V=V, T=T,
         Lambda=Lambda, ones=ones, g=g, K=K,
@@ -243,15 +232,16 @@ def residual_rank_diagnostic(problem: CareProblem, data: DistinctShiftBasisData)
 def _orthonormalize_against(U, cols, drop_tol=1e-10):
     """Orthogonalize cols against U (two passes) and among themselves,
     dropping directions whose remaining mass is below drop_tol relative to
-    the incoming column norm. Returns the kept orthonormal columns."""
-    cols = np.asarray(cols, dtype=complex)
-    incoming = np.linalg.norm(cols)
+    the incoming column norm. Returns the kept orthonormal columns, in the
+    common dtype of U and cols. Products with U are formed as (W* U)*, which
+    never copies the conjugate of U."""
+    W = cols.astype(np.result_type(U, cols))
+    incoming = np.linalg.norm(W)
     if incoming == 0.0:
-        return np.zeros((cols.shape[0], 0), dtype=complex)
-    W = cols.copy()
+        return W[:, :0]
     for _ in range(2):
         if U.shape[1]:
-            W -= U @ (U.conj().T @ W)
+            W -= U @ (W.conj().T @ U).conj().T
     kept = []
     for i in range(W.shape[1]):
         w = W[:, i].copy()
@@ -263,7 +253,7 @@ def _orthonormalize_against(U, cols, drop_tol=1e-10):
         w /= nrm
         for _ in range(1):
             if U.shape[1]:
-                w -= U @ (U.conj().T @ w)
+                w -= U @ (w.conj() @ U).conj()
             for u in kept:
                 w -= u * (u.conj() @ w)
             nn = np.linalg.norm(w)
@@ -274,13 +264,18 @@ def _orthonormalize_against(U, cols, drop_tol=1e-10):
         if w is not None:
             kept.append(w)
     if not kept:
-        return np.zeros((cols.shape[0], 0), dtype=complex)
+        return W[:, :0]
     return np.column_stack(kept)
 
 
 def _next_pole(problem, state, strategy, pending, it):
     """Pick the pole for the next expansion; complex poles enqueue their
-    conjugate partner so the space stays conjugation-closed."""
+    conjugate partner so the space stays conjugation-closed.
+
+    Adaptive poles on a nonempty space come from the eigenvalues of the
+    projected matrices already held: U*AU (plain) or U*(A - BB*X)U =
+    U*AU - (U*B)(U*B)* Y (stabilized), the Ritz values that
+    ``adaptive_pole`` would compute from U."""
     if isinstance(strategy, (ShiftSequence, list, tuple, np.ndarray)):
         vals = strategy.values if isinstance(strategy, ShiftSequence) else \
             [complex(s) for s in strategy]
@@ -289,14 +284,13 @@ def _next_pole(problem, state, strategy, pending, it):
         return pending.pop(0)
     mode = "stabilized" if strategy == "adaptive_stabilized" else "plain"
     if state.U.shape[1] == 0:
-        basis = np.linalg.qr(problem.C.conj().T.astype(complex))[0]
-        current = None
+        pole = adaptive_pole(np.linalg.qr(problem.C.conj().T)[0], problem,
+                             existing_poles=tuple(state.poles), mode=mode)
     else:
-        basis = state.U
-        current = _ReducedSolution(state.U, state.Y) if (
-            mode == "stabilized" and state.Y is not None) else None
-    pole = adaptive_pole(basis, problem, current_solution=current,
-                         existing_poles=tuple(state.poles), mode=mode)
+        small = state.UAU
+        if mode == "stabilized":
+            small = small - state.UB @ (state.UB.conj().T @ state.Y)
+        pole = _mirrored_ritz_pole(np.linalg.eigvals(small), state.poles)
     if abs(pole.imag) > 1e-12 * max(1.0, abs(pole)):
         pending.append(np.conj(pole))
     return pole
@@ -337,20 +331,19 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
     residual_every = max(1, int(opts["residual_every"]))
 
     n, p = problem.n, problem.p
-    Astar = problem.A.conj().T.tocsc().astype(complex)
-    Acsr = problem.A.tocsr().astype(complex)
-    Cstar = problem.C.conj().T.astype(complex)
+    shifted = ShiftedSolver(problem)
+    dtype = shifted.dtype
+    Cstar = problem.C.conj().T
     cc_norm = float(np.linalg.norm(problem.C @ problem.C.conj().T))
 
     state = RksmState(
-        U=np.zeros((n, 0), dtype=complex),
-        UAU=np.zeros((0, 0), dtype=complex),
-        UB=np.zeros((0, problem.q), dtype=complex),
-        CU=np.zeros((p, 0), dtype=complex),
+        U=np.zeros((n, 0), dtype=dtype),
+        UAU=np.zeros((0, 0), dtype=dtype),
+        UB=np.zeros((0, problem.q), dtype=dtype),
+        CU=np.zeros((p, 0), dtype=dtype),
     )
     tracker = ResidualTracker(problem)
     pending = []
-    lu_cache = {}
     # one continuation chain per distinct pole: a pole's first visit applies
     # its resolvent to C*, repeats raise the resolvent power; this spans the
     # same rational Krylov space as a nested construction but keeps far-apart
@@ -366,26 +359,19 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
 
     if max_iter == 0:
         state.history.status = "max_iter"
-        empty = LowRankSolution(np.zeros((n, 0), dtype=complex),
-                                np.zeros((0, 0), dtype=complex))
+        empty = LowRankSolution(np.zeros((n, 0), dtype=dtype),
+                                np.zeros((0, 0), dtype=dtype))
         return empty, state.history
 
     for it in range(1, max_iter + 1):
         t0 = time.monotonic()
         pole = _next_pole(problem, state, strategy, pending, it - 1)
         key = complex(pole)
-        lu = lu_cache.get(key)
-        if lu is None:
-            M = -Astar + key * sp.identity(n, format="csc", dtype=complex)
-            try:
-                lu = splu(M.tocsc())
-            except RuntimeError as exc:
-                raise SolverBreakdown(
-                    f"-A* + pole I is singular for pole = {key}", shift=key,
-                    history=state.history,
-                ) from exc
-            lu_cache[key] = lu
-        raw = lu.solve(chains.get(key, Cstar))
+        try:
+            raw = shifted.solve(key, chains.get(key, Cstar))
+        except SolverBreakdown as exc:
+            exc.history = state.history
+            raise
         chains[key] = raw / max(np.linalg.norm(raw), 1e-300)
 
         new_cols = _orthonormalize_against(state.U, raw)
@@ -410,15 +396,20 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
             continue
         deflated_in_a_row = 0
 
+        # U*AU grows by U*(A N), (U*(A* N))* and N*(A N) for the new columns
+        # N; A* N is needed for the residual tracker anyway
+        c = new_cols.shape[1]
+        AN = problem.A @ new_cols
+        AsN = shifted.Astar @ new_cols
+        side = (np.hstack([AN, AsN]).conj().T @ state.U).conj().T
         state.UAU = np.block([
-            [state.UAU, state.U.conj().T @ (Acsr @ new_cols)],
-            [new_cols.conj().T @ (Acsr @ state.U),
-             new_cols.conj().T @ (Acsr @ new_cols)],
-        ]) if state.U.shape[1] else new_cols.conj().T @ (Acsr @ new_cols)
+            [state.UAU, side[:, :c]],
+            [side[:, c:].conj().T, new_cols.conj().T @ AN],
+        ])
         state.UB = np.vstack([state.UB, new_cols.conj().T @ problem.B])
         state.CU = np.hstack([state.CU, problem.C @ new_cols])
         state.U = np.hstack([state.U, new_cols])
-        tracker.add_step(Astar @ new_cols, new_cols)
+        tracker.add_step(AsN, new_cols)
 
         try:
             state.Y = care_solve_dense(state.UAU, state.UB, state.CU,
@@ -452,7 +443,7 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
     keep = lam > 1e-14 * max(lam.max(), 1e-300)
     Vout = state.U @ (Wv[:, keep] * np.sqrt(lam[keep]))
     solution = LowRankSolution(
-        V=Vout, T=np.eye(Vout.shape[1], dtype=complex),
+        V=Vout, T=np.eye(Vout.shape[1], dtype=Vout.dtype),
         shifts_used=tuple(state.poles),
     )
     return solution, state.history

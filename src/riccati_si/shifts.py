@@ -245,7 +245,9 @@ def penzl_shifts(problem, m=10, m1=20, m2=10, mode="on_A",
         pool = list(spectrum)
 
     def grab(z, remaining):
-        """Take z (and its conjugate partner when complex) out of remaining."""
+        """Take z (and its conjugate partner when complex) out of remaining.
+        A pair comes out with its positive imaginary part first, whichever
+        member was picked (a tie between the two falls to list order)."""
         out = [z]
         remaining.remove(z)
         if abs(z.imag) > _REAL_TOL * (1.0 + abs(z)):
@@ -256,6 +258,7 @@ def penzl_shifts(problem, m=10, m1=20, m2=10, mode="on_A",
                     break
             remaining[:] = [w for w in remaining if w is not partner]
             out.append(np.conj(z) if partner is None else partner)
+            out.sort(key=lambda w: -w.imag)
         return out
 
     remaining = list(pool)
@@ -296,7 +299,7 @@ def projected_ritz(basis, problem, current_solution=None, mode="plain"):
     in ``stabilized`` mode) on the span of ``basis``."""
     if mode not in ("plain", "stabilized"):
         raise ValueError(f"unknown mode {mode!r}")
-    U = np.asarray(basis, dtype=complex)
+    U = np.asarray(basis)
     if U.ndim == 1:
         U = U[:, None]
     gram = U.conj().T @ U
@@ -363,13 +366,20 @@ def adaptive_pole(basis_so_far, problem, current_solution=None,
     If no Ritz value is stable, the most recent existing pole is returned
     with a warning.
     """
-    theta = projected_ritz(basis_so_far, problem, current_solution, mode)
+    return _mirrored_ritz_pole(
+        projected_ritz(basis_so_far, problem, current_solution, mode),
+        existing_poles)
+
+
+def _mirrored_ritz_pole(theta, existing_poles=()) -> complex:
+    """The scoring step of ``adaptive_pole``, given the Ritz values theta of
+    the projected operator (for callers that hold the projected matrix)."""
     stable = theta[theta.real < 0]
     if stable.size == 0:
         if len(existing_poles) > 0:
             warnings.warn(
                 "no stable Ritz value on the current space; reusing the most "
-                "recent pole", stacklevel=2,
+                "recent pole", stacklevel=3,
             )
             return complex(existing_poles[-1])
         raise ValueError("no stable Ritz values and no previous pole to reuse")

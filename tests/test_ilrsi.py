@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from riccati_si import (
     CSV_HEADER,
     CareProblem,
-    IncrementalQR,
     LowRankSolution,
     SolverBreakdown,
     care_residual,
@@ -21,6 +20,7 @@ from riccati_si import (
     random_stable_problem,
     residual_norm,
 )
+from riccati_si.ilrsi import _BasisQR
 from oracles import (
     adi_lyapunov_dense,
     dense_riccati_residual,
@@ -212,13 +212,13 @@ class TestRealArithmetic:
             state = ilrsi_init(p, a) if state is None else ilrsi_step(state, a)
         for arr in (state.V, state.T, state.tracker, state.K):
             assert arr.dtype == np.float64
-        assert len(state._lu_cache) == 4
-        for lu in state._lu_cache.values():
+        assert len(state.shifted.cache) == 4
+        for lu in state.shifted.cache.values():
             assert lu.L.dtype == lu.U.dtype == np.float64
-        assert state.permc_spec == "MMD_AT_PLUS_A"
+        assert state.shifted.permc_spec == "MMD_AT_PLUS_A"
         # Toeplitz A has a structurally nonsymmetric band
-        assert ilrsi_init(make_toeplitz_problem(50), 1.0).permc_spec == \
-            "COLAMD"
+        toeplitz = ilrsi_init(make_toeplitz_problem(50), 1.0)
+        assert toeplitz.shifted.permc_spec == "COLAMD"
 
     def test_complex_rhs_on_real_factor(self):
         # real data, E != I and shifts [real, pair, real]: after the pair the
@@ -248,7 +248,7 @@ class TestRealArithmetic:
             assert np.linalg.norm(R @ R.conj().T - res) <= \
                 1e-10 * np.linalg.norm(res)
         assert np.iscomplexobj(state.tracker)
-        assert state._lu_cache[2.0].L.dtype == np.float64
+        assert state.shifted.cache[2.0].L.dtype == np.float64
         assert np.isrealobj(X)
 
     @pytest.mark.parametrize("m, alpha, steps, cutoff", [
@@ -343,15 +343,22 @@ class TestSolverLoop:
 
 
 class TestIncrementalQR:
+    """The blockwise thin QR behind the residual tracker and the rank
+    column (``_BasisQR``)."""
+
     def test_dependent_columns_do_not_grow_basis(self):
         rng = np.random.default_rng(0)
-        qr = IncrementalQR(6)
+        qr = _BasisQR(6, float)
         a = rng.standard_normal((6, 1))
         qr.add(a)
         qr.add(a)  # same column again: coefficient only
         qr.add(2.5 * a)
-        assert qr.Q.shape == (6, 1)
-        assert qr.R.shape == (1, 3)
+        # each column added gets a column of R; a direction that a repeated
+        # column adds to Q is rounding noise and leaves the rank at 1
+        assert qr.R.shape[1] == 3
+        assert qr.rank(1e-12) == 1
+        assert np.linalg.norm(qr.Q.conj().T @ qr.Q - np.eye(qr.Q.shape[1])) \
+            < 1e-12
         assert np.linalg.norm(qr.Q @ qr.R - np.hstack([a, a, 2.5 * a])) < 1e-12
 
     @settings(max_examples=40)
@@ -362,7 +369,7 @@ class TestIncrementalQR:
         # repeat an existing column every third slot to force deflations
         for j in range(2, total_cols, 3):
             cols[:, j] = cols[:, j - 1]
-        qr = IncrementalQR(n)
+        qr = _BasisQR(n, float)
         pos = 0
         while pos < total_cols:
             width = min(int(rng.integers(1, 3)), total_cols - pos)

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import riccati_si.ilrsi
 from riccati_si import (
     CareProblem,
+    LowRankSolution,
+    RksmState,
+    adaptive_pole,
     build_distinct_basis,
     check_entrywise_T,
     check_sylvester_identity,
@@ -21,6 +25,8 @@ from riccati_si import (
     residual_rank_diagnostic,
     rksm_solve,
 )
+from riccati_si.dense import care_solve_dense
+from riccati_si.rksm import _next_pole
 from oracles import (
     dense_riccati_residual,
     passive_problem,
@@ -194,6 +200,80 @@ class TestSolver:
                          check_stability=False)
         with pytest.raises(ValueError, match="identity"):
             rksm_solve(pe, [1.0])
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """Dtypes of the matrices the shifted-solve service factors, and of the
+    L and U factors it gets back."""
+    seen = []
+    splu = riccati_si.ilrsi.splu
+
+    def recording_splu(M, *args, **kwargs):
+        lu = splu(M, *args, **kwargs)
+        seen.append((M.dtype, lu.L.dtype, lu.U.dtype))
+        return lu
+
+    monkeypatch.setattr(riccati_si.ilrsi, "splu", recording_splu)
+    return seen
+
+
+class TestRealArithmetic:
+    def test_real_poles_stay_real(self, factored, monkeypatch):
+        # the projected matrices handed to the dense solver are built from
+        # U, so their dtypes are those of U
+        projected = []
+
+        def recording_care(UAU, UB, CU, **kwargs):
+            projected.append((UAU.dtype, UB.dtype, CU.dtype))
+            return care_solve_dense(UAU, UB, CU, **kwargs)
+
+        monkeypatch.setattr(riccati_si.rksm, "care_solve_dense",
+                            recording_care)
+        p = random_stable_problem(30, 2, 1, seed=4)
+        sol, hist = rksm_solve(p, [1.0, 2.5, 0.7], tol=1e-30, max_iter=5)
+        assert len(hist.records) == 5
+        assert len(factored) == 3
+        assert all(d == np.float64 for dts in factored for d in dts)
+        assert len(projected) == 5
+        assert all(d == np.float64 for dts in projected for d in dts)
+        assert sol.V.dtype == sol.T.dtype == np.float64
+
+    def test_conjugate_pair_reuses_factor(self, factored):
+        p = random_stable_problem(12, 1, 1, seed=6)
+        sh = [1.0, 2.0 + 1.0j, 2.0 - 1.0j, 0.7]
+        sol, hist = rksm_solve(p, sh, tol=1e-30, max_iter=4)
+        assert len(factored) == 3
+        assert [dts[0] for dts in factored] == \
+            [np.float64, np.complex128, np.float64]
+        data = build_distinct_basis(p, sh)
+        assert len(factored) == 6
+        assert sol.dim == 4
+        assert projector_distance(sol.V, data.V) <= 1e-8
+        assert np.isrealobj(sol.to_dense())
+
+    @pytest.mark.parametrize("strategy, mode", [
+        ("adaptive_plain", "plain"), ("adaptive_stabilized", "stabilized"),
+    ])
+    def test_pole_from_projected_matrices(self, strategy, mode):
+        # the loop's pole from U*AU (and U*B, Y) equals adaptive_pole on U.
+        # The existing poles are not closed under conjugation, so a complex
+        # winner and its conjugate do not tie.
+        p = passive_problem(40, seed=5)
+        rng = np.random.default_rng(1)
+        U = np.linalg.qr(rng.standard_normal((p.n, 5)))[0]
+        UAU = U.T @ (p.A @ U)
+        UB = U.T @ p.B
+        CU = p.C @ U
+        Y = care_solve_dense(UAU, UB, CU)
+        state = RksmState(U=U, UAU=UAU, UB=UB, CU=CU, poles=[1.0, 2.0 + 0.5j],
+                          Y=Y)
+        pole = _next_pole(p, state, strategy, [], 0)
+        current = LowRankSolution(U, np.linalg.inv(Y)) \
+            if mode == "stabilized" else None
+        ref = adaptive_pole(U, p, current_solution=current,
+                            existing_poles=(1.0, 2.0 + 0.5j), mode=mode)
+        assert abs(pole - ref) <= 1e-10 * abs(ref)
 
 
 class TestMirroredRitzFixedPoint:

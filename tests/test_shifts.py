@@ -169,6 +169,17 @@ class TestPenzl:
         assert len(s) == 1
         assert s.values[0] == pytest.approx(np.sqrt(10.0), abs=1e-12)
 
+    def test_pair_order_independent_of_candidate_order(self):
+        # the growth scores of a candidate and its exact conjugate tie, so
+        # the member picked first follows list order; the pair must still
+        # come out with its positive imaginary part first
+        p = random_stable_problem(20, 1, 1, seed=3)
+        out = [penzl_shifts(p, m=3, candidate_pool=pool).values
+               for pool in ([1.0, 2.0 + 1.0j, 2.0 - 1.0j],
+                            [1.0, 2.0 - 1.0j, 2.0 + 1.0j])]
+        assert out[0] == out[1]
+        assert [v for v in out[0] if v.imag] == [2.0 + 1.0j, 2.0 - 1.0j]
+
     def test_warns_when_candidates_run_out(self):
         p = _two_point_problem()
         with pytest.warns(UserWarning, match="candidates"):
