@@ -178,21 +178,18 @@ class _BasisQR:
     rank column (with Q orthonormal, V and the small R have the same
     singular values) and the columns of the residual tracker.
 
-    Each block of new columns is orthogonalized against the stored Q by
-    block classical Gram-Schmidt run twice, with a QR of the block between
-    the passes (BCGS2), so the second pass works on unit columns. That QR is
-    column-pivoted: a column the first pass reduced to rounding noise (one
-    already in span(Q), or a repeat within the block) then comes last, with
-    a row of R at noise level, and its direction carries no part of the
-    other columns. A unit column that the second pass shrinks below
-    ``_drop_tol`` lay mostly in span(Q), which happens only when its part
-    outside span(Q) was rounding noise of the block; such columns (found by
-    a second column-pivoted QR) are left out, so Q keeps orthonormal
-    columns, at most n of them, also when V is rank-deficient. Q lives in a
-    buffer that doubles its capacity when full; R has one row per column of
-    Q and one column per column of V. Products with the buffer are formed
+    Each block of new columns is orthogonalized against Q by block classical
+    Gram-Schmidt run twice (BCGS2), with a column-pivoted QR of the block
+    between the passes. A column whose pivot there is at most ``_noise_tol``
+    of its norm (one already in span(Q), or a repeat within the block) adds
+    only coefficients to R. A unit column that the second pass shrinks below
+    ``_drop_tol`` lay mostly in span(Q) and is left out too (found by a
+    second pivoted QR), so Q keeps orthonormal columns, at most n of them.
+    R has a row per column of Q and a column per column of V. Q lives in a
+    buffer that doubles its capacity when full; products with it are formed
     as (W* Q)*, which never copies its conjugate."""
 
+    _noise_tol = 1e-13
     _drop_tol = 0.5
 
     def __init__(self, n, dtype):
@@ -213,8 +210,13 @@ class _BasisQR:
         S1 = (W.conj().T @ Q).conj().T
         Y, R1p, piv1 = scipy.linalg.qr(W - Q @ S1, mode="economic",
                                        pivoting=True)
-        R1 = np.empty_like(R1p)
-        R1[:, piv1] = R1p
+        d = np.abs(np.diag(R1p))
+        noise = d <= self._noise_tol * np.linalg.norm(W[:, piv1[:d.size]],
+                                                      axis=0)
+        r = int(np.argmax(noise)) if noise.any() else d.size
+        Y = Y[:, :r]
+        R1 = np.empty((r, W.shape[1]), dtype=R1p.dtype)
+        R1[:, piv1] = R1p[:r]
         S2 = (Y.conj().T @ Q).conj().T
         Z, Rz, piv = scipy.linalg.qr(Y - Q @ S2, mode="economic",
                                      pivoting=True)

@@ -275,7 +275,9 @@ def _next_pole(problem, state, strategy, pending, it):
     Adaptive poles on a nonempty space come from the eigenvalues of the
     projected matrices already held: U*AU (plain) or U*(A - BB*X)U =
     U*AU - (U*B)(U*B)* Y (stabilized), the Ritz values that
-    ``adaptive_pole`` would compute from U."""
+    ``adaptive_pole`` would compute from U. On real data a complex pole and
+    its conjugate score the same, so the pair comes with its positive
+    imaginary part first, whichever member the scoring returned."""
     if isinstance(strategy, (ShiftSequence, list, tuple, np.ndarray)):
         vals = strategy.values if isinstance(strategy, ShiftSequence) else \
             [complex(s) for s in strategy]
@@ -292,6 +294,8 @@ def _next_pole(problem, state, strategy, pending, it):
             small = small - state.UB @ (state.UB.conj().T @ state.Y)
         pole = _mirrored_ritz_pole(np.linalg.eigvals(small), state.poles)
     if abs(pole.imag) > 1e-12 * max(1.0, abs(pole)):
+        if pole.imag < 0 and problem.A.dtype.kind != "c":
+            pole = np.conj(pole)
         pending.append(np.conj(pole))
     return pole
 

@@ -353,12 +353,8 @@ class TestIncrementalQR:
         qr.add(a)
         qr.add(a)  # same column again: coefficient only
         qr.add(2.5 * a)
-        # each column added gets a column of R; a direction that a repeated
-        # column adds to Q is rounding noise and leaves the rank at 1
-        assert qr.R.shape[1] == 3
-        assert qr.rank(1e-12) == 1
-        assert np.linalg.norm(qr.Q.conj().T @ qr.Q - np.eye(qr.Q.shape[1])) \
-            < 1e-12
+        assert qr.Q.shape == (6, 1)
+        assert qr.R.shape == (1, 3)
         assert np.linalg.norm(qr.Q @ qr.R - np.hstack([a, a, 2.5 * a])) < 1e-12
 
     @settings(max_examples=40)

@@ -256,9 +256,10 @@ class TestRealArithmetic:
         ("adaptive_plain", "plain"), ("adaptive_stabilized", "stabilized"),
     ])
     def test_pole_from_projected_matrices(self, strategy, mode):
-        # the loop's pole from U*AU (and U*B, Y) equals adaptive_pole on U.
-        # The existing poles are not closed under conjugation, so a complex
-        # winner and its conjugate do not tie.
+        # the loop's pole from U*AU (and U*B, Y) equals adaptive_pole on U,
+        # up to the order within a conjugate pair (positive imaginary part
+        # first). The existing poles are not closed under conjugation, so a
+        # complex winner and its conjugate do not tie.
         p = passive_problem(40, seed=5)
         rng = np.random.default_rng(1)
         U = np.linalg.qr(rng.standard_normal((p.n, 5)))[0]
@@ -268,12 +269,36 @@ class TestRealArithmetic:
         Y = care_solve_dense(UAU, UB, CU)
         state = RksmState(U=U, UAU=UAU, UB=UB, CU=CU, poles=[1.0, 2.0 + 0.5j],
                           Y=Y)
-        pole = _next_pole(p, state, strategy, [], 0)
+        pending = []
+        pole = _next_pole(p, state, strategy, pending, 0)
         current = LowRankSolution(U, np.linalg.inv(Y)) \
             if mode == "stabilized" else None
         ref = adaptive_pole(U, p, current_solution=current,
                             existing_poles=(1.0, 2.0 + 0.5j), mode=mode)
+        if ref.imag < 0:
+            ref = np.conj(ref)
         assert abs(pole - ref) <= 1e-10 * abs(ref)
+        assert pending == ([np.conj(pole)] if pole.imag else [])
+
+    def test_pair_order_independent_of_candidate_order(self, monkeypatch):
+        # on real data a candidate and its conjugate score the same, so the
+        # member the scoring returns depends on the candidate order; the
+        # poles must not
+        import riccati_si.shifts
+        p = passive_problem(60, seed=3)
+        hull = riccati_si.shifts._hull_candidates
+        runs = []
+        for order in (1, -1):
+            monkeypatch.setattr(riccati_si.shifts, "_hull_candidates",
+                                lambda mu: hull(mu)[::order])
+            sol, hist = rksm_solve(p, "adaptive_stabilized", tol=1e-30,
+                                   max_iter=12)
+            runs.append(np.array(sol.shifts_used))
+        assert np.any(runs[0].imag != 0)
+        assert np.allclose(runs[0], runs[1], rtol=1e-10, atol=0)
+        for a, b in zip(runs[0][:-1], runs[0][1:]):
+            if a.imag != 0 and b == np.conj(a):
+                assert a.imag > 0
 
 
 class TestMirroredRitzFixedPoint:
