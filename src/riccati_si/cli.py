@@ -446,7 +446,7 @@ def _suite_oracle(rng):
         checks.append({"check": "ilrsi_vs_dense_iteration", "instance": trial,
                        "defect": worst, "threshold": 1e-8,
                        "pass": bool(worst <= 1e-8)})
-        rn = residual_norm(prob, st.solution, st.tracker)
+        rn = residual_norm(prob, st.residual_factor)
         A = prob.A.toarray()
         X = st.solution.to_dense()
         dense_rn = np.linalg.norm(care_residual(A, prob.B, prob.C, X))

@@ -1,11 +1,17 @@
 """Incremental low-rank subspace iteration (one sparse solve per step).
 
-The iterate is kept as X = V T^{-1} V* with V growing by p columns per step.
-The step is written in residual-factor form (the RADI recursion of Benner,
-Bujanovic, Kurschner and Saak, which produces the same iterates): the state
-is an n x p factor R_k with residual R(X_k) = R_k R_k*, and each step solves
-the closed-loop shifted system once with R_{k-1}. T is block diagonal, one
-p x p block per step, and the residual norm is ||R_k* R_k||_F.
+The iterate is X_k = V T^{-1} V* with V = [v_1, ..., v_k] growing by p
+columns per step and T = blkdiag(Y_1, ..., Y_k). The step is written in
+residual-factor form (the RADI recursion of Benner, Bujanovic, Kurschner and
+Saak, which produces the same iterates): the state is an n x p factor R_k
+with residual R(X_k) = R_k R_k*, and each step solves the closed-loop
+shifted system once with R_{k-1}. The residual norm is ||R_k* R_k||_F.
+
+Neither V nor T is stored. V lives in its thin QR V = Q R (``_BasisQR``),
+grown by p columns per step, whose small R also gives the history's rank
+column; T lives in its p x p inverse blocks Y_k^{-1}. The solution is the
+form both iterations return, X = Z Z* (``LowRankSolution``), compressed
+from Q (R T^{-1} R*) Q* to the numerical rank.
 
 Real data (A and E real; B and C always are) stays in real arithmetic: the
 state starts as float64 and only a complex shift promotes it. The shifted
@@ -13,8 +19,6 @@ systems are factored and solved by ``ShiftedSolver``, which both iterations
 use: it factors each real shift in real arithmetic, applies the factor of a
 complex shift also to its conjugate, and uses the LU column ordering chosen
 once per problem from the sparsity pattern of A and E (``lu_ordering``).
-The history's rank column comes from a thin QR of V grown by p columns per
-step, not from an SVD of V.
 """
 
 from __future__ import annotations
@@ -82,11 +86,22 @@ class ConvergenceHistory:
 
 @dataclass
 class LowRankSolution:
-    """X = V T^{-1} V*."""
+    """X = V V*, the form both solvers return. ``dim`` is the width of the
+    factor V, which can be smaller than the dimension of the space the
+    solver built; that dimension is in the solver's history."""
 
     V: np.ndarray
-    T: np.ndarray
     shifts_used: tuple = ()
+
+    @classmethod
+    def from_basis(cls, Q, M, shifts_used):
+        """X = Q M Q* for a Hermitian positive semidefinite core M, as
+        V = Q W sqrt(L) from the eigenpairs (L, W) of M. Eigenvalues at most
+        1e-14 of the largest are dropped, so V is as wide as the numerical
+        rank of X."""
+        lam, W = np.linalg.eigh(0.5 * (M + M.conj().T))
+        keep = lam > 1e-14 * max(lam.max(initial=0.0), 1e-300)
+        return cls(Q @ (W[:, keep] * np.sqrt(lam[keep])), tuple(shifts_used))
 
     @property
     def n(self) -> int:
@@ -98,18 +113,15 @@ class LowRankSolution:
 
     def apply(self, M):
         """X @ M without forming X."""
-        if self.dim == 0:
-            M = np.asarray(M)
-            return np.zeros((self.n, M.shape[1]),
-                            dtype=np.result_type(self.V, M))
-        return self.V @ np.linalg.solve(self.T, self.V.conj().T @ M)
+        return self.V @ (self.V.conj().T @ M)
 
     def to_dense(self):
-        if self.dim == 0:
-            return np.zeros((self.n, self.n))
-        X = self.V @ np.linalg.solve(self.T, self.V.conj().T)
+        """X in the dtype of V, except that a nonempty complex V whose X is
+        numerically real (real data with complex shifts) gives a real X."""
+        X = self.V @ self.V.conj().T
         X = 0.5 * (X + X.conj().T)
-        if np.linalg.norm(X.imag) <= 1e-10 * max(1.0, np.linalg.norm(X)):
+        if self.dim and np.linalg.norm(X.imag) <= \
+                1e-10 * max(1.0, np.linalg.norm(X)):
             X = np.ascontiguousarray(X.real)
         return X
 
@@ -174,9 +186,9 @@ def _middle_matrix(Tinv_like, VFV, p):
 
 
 class _BasisQR:
-    """Thin QR V = Q R of a growing set of columns: the basis behind the
-    rank column (with Q orthonormal, V and the small R have the same
-    singular values) and the columns of the residual tracker.
+    """Thin QR V = Q R of a growing set of columns: ilrsi's basis V, whose
+    rank column comes from the small R (with Q orthonormal, V and R have
+    the same singular values), and the columns of the residual tracker.
 
     Each block of new columns is orthogonalized against Q by block classical
     Gram-Schmidt run twice (BCGS2), with a column-pivoted QR of the block
@@ -245,6 +257,13 @@ class _BasisQR:
         return int(np.count_nonzero(s > tol * s[0]))
 
 
+def _data_dtype(problem: CareProblem):
+    """float64 when A and E are real (B and C always are), else complex."""
+    E = problem.E
+    return np.result_type(problem.A.dtype, float,
+                          float if E is None else E.dtype)
+
+
 class ShiftedSolver:
     """Applies (-A* + alpha E*)^{-1}, factoring once per distinct shift; the
     one place where the iterations factor and solve shifted systems.
@@ -262,8 +281,7 @@ class ShiftedSolver:
     def __init__(self, problem: CareProblem):
         E = problem.E
         self.n = problem.n
-        self.dtype = np.result_type(problem.A.dtype, float,
-                                    float if E is None else E.dtype)
+        self.dtype = _data_dtype(problem)
         self.Astar = problem.A.conj().T.tocsc().astype(self.dtype)
         self.Estar = None if E is None else \
             E.conj().T.tocsc().astype(self.dtype)
@@ -298,23 +316,31 @@ class ShiftedSolver:
 
 @dataclass
 class IlrsiState:
-    """Loop state: the growing factors, the n x p residual factor R_k (kept
-    under the name ``tracker``), the feedback K_k = E* X_k B, the shifted
-    solves with their cached factorizations, and the thin QR of V behind the
-    rank column."""
+    """Loop state: the thin QR V = Q R of the basis, the inverses Y_k^{-1}
+    of the diagonal blocks of T, the n x p residual factor R_k, the
+    feedback K_k = E* X_k B, and the shifted solves with their cached
+    factorizations."""
 
     problem: CareProblem
-    V: np.ndarray
-    T: np.ndarray
-    tracker: np.ndarray
+    basis: _BasisQR = field(repr=False)
+    Y_inv: list
+    residual_factor: np.ndarray
     K: np.ndarray
     shifts_used: list
     shifted: ShiftedSolver = field(repr=False)
-    _basis_qr: _BasisQR = field(default=None, repr=False)
+
+    @property
+    def dim(self) -> int:
+        """Columns of V, p per step."""
+        return self.basis.R.shape[1]
 
     @property
     def solution(self) -> LowRankSolution:
-        return LowRankSolution(self.V, self.T, tuple(self.shifts_used))
+        """X = Q (R T^{-1} R*) Q*, compressed to its numerical rank."""
+        R = self.basis.R
+        return LowRankSolution.from_basis(
+            self.basis.Q, R @ block_diag(*self.Y_inv) @ R.conj().T,
+            self.shifts_used)
 
 
 def ilrsi_step(state: IlrsiState, alpha) -> IlrsiState:
@@ -326,7 +352,8 @@ def ilrsi_step(state: IlrsiState, alpha) -> IlrsiState:
         K_k   = K_{k-1} + E* v_k Y_k^{-1} (v_k* B)
 
     The closed-loop solve is one cached solve with [R, K] and a q x q
-    Woodbury correction. V gains v_k and T gains the diagonal block Y_k.
+    Woodbury correction. v_k joins the thin QR of V, and Y_k^{-1} the
+    inverse blocks of T.
     """
     alpha = complex(alpha)
     a = alpha.real
@@ -334,7 +361,8 @@ def ilrsi_step(state: IlrsiState, alpha) -> IlrsiState:
         raise ValueError(f"shift must have positive real part, got {alpha}")
     p = state.problem.p
     Bh = state.problem.B.conj().T
-    S = state.shifted.solve(alpha, np.hstack([state.tracker, state.K]))
+    S = state.shifted.solve(alpha,
+                            np.hstack([state.residual_factor, state.K]))
     SR, SK = S[:, :p], S[:, p:]
     try:
         corr = np.linalg.solve(np.eye(SK.shape[1]) + Bh @ SK, Bh @ SR)
@@ -353,19 +381,19 @@ def ilrsi_step(state: IlrsiState, alpha) -> IlrsiState:
     Yk = 2.0 * a * np.eye(p) + (w.conj().T @ w) / (2.0 * a)
     Estar = state.shifted.Estar
     ev = v if Estar is None else Estar @ v
-    evY = ev @ np.linalg.inv(Yk)
-    state.tracker = state.tracker + 2.0 * a * evY
+    Yinv = np.linalg.inv(Yk)
+    evY = ev @ Yinv
+    state.residual_factor = state.residual_factor + 2.0 * a * evY
     state.K = state.K + evY @ w.conj().T
-    state.V = np.hstack([state.V, v])
-    state._basis_qr.add(v)
-    state.T = block_diag(state.T, Yk)
-    state.shifts_used = state.shifts_used + [alpha]
+    state.basis.add(v)
+    state.Y_inv.append(Yinv)
+    state.shifts_used.append(alpha)
     return state
 
 
 def ilrsi_init(problem: CareProblem, alpha1) -> IlrsiState:
     """First step from R_0 = C*, K_0 = 0: v_1 = -2 a_1 (-A* + alpha_1 E*)^{-1}
-    C* and T_1 = 2 a_1 I + (1 / 2 a_1) (B* v_1)* (B* v_1).
+    C* and Y_1 = 2 a_1 I + (1 / 2 a_1) (B* v_1)* (B* v_1).
 
     The state is float64 when A and E are real (B and C always are)."""
     n = problem.n
@@ -373,56 +401,33 @@ def ilrsi_init(problem: CareProblem, alpha1) -> IlrsiState:
     dtype = shifted.dtype
     state = IlrsiState(
         problem=problem,
-        V=np.zeros((n, 0), dtype=dtype),
-        T=np.zeros((0, 0), dtype=dtype),
-        tracker=problem.C.conj().T.astype(dtype),
+        basis=_BasisQR(n, dtype),
+        Y_inv=[],
+        residual_factor=problem.C.conj().T.astype(dtype),
         K=np.zeros((n, problem.q), dtype=dtype),
         shifts_used=[],
         shifted=shifted,
-        _basis_qr=_BasisQR(n, dtype),
     )
     return ilrsi_step(state, alpha1)
 
 
-def residual_norm(problem: CareProblem, solution: LowRankSolution,
-                  residual_factor: np.ndarray | None = None) -> float:
-    """Frobenius norm of A*XE + E*XA - E*X BB* X E + C*C at X = V T^{-1} V*,
-    never forming the n x n residual.
-
-    Given the n x p residual factor R of the iterate (``IlrsiState.tracker``)
-    the residual is R R*, and its norm is ||R* R||_F. Without it the norm is
-    evaluated through the (p + 2 dim)-column QR sandwich of [C*, A*V, E*V].
-    """
-    p = problem.p
-    if residual_factor is not None:
-        R = np.asarray(residual_factor)
-        if R.shape != (problem.n, p):
-            raise ValueError(
-                f"residual factor has shape {R.shape}, expected "
-                f"{(problem.n, p)}"
-            )
-        return float(np.linalg.norm(R.conj().T @ R))
-    if solution.dim == 0:
-        return float(np.linalg.norm(problem.C @ problem.C.conj().T))
-    try:
-        Ti = np.linalg.solve(solution.T, np.eye(solution.dim, dtype=complex))
-    except np.linalg.LinAlgError as exc:
+def residual_norm(problem: CareProblem, residual_factor) -> float:
+    """Frobenius norm of A*XE + E*XA - E*X BB* X E + C*C at an iterate whose
+    residual is R R* for the n x p factor R (``IlrsiState.residual_factor``),
+    as ||R* R||_F, never forming the n x n residual."""
+    R = np.asarray(residual_factor)
+    if R.shape != (problem.n, problem.p):
         raise ValueError(
-            "T is numerically singular, so X = V T^{-1} V* is undefined"
-        ) from exc
-    V = solution.V
-    tracker = ResidualTracker(problem)
-    EV = V if problem.E is None else problem.E.conj().T @ V
-    tracker.add_step(problem.A.conj().T @ V, EV)
-    W = problem.B.conj().T @ V
-    return tracker.weighted_norm(_middle_matrix(Ti, W.conj().T @ W, p))
+            f"residual factor has shape {R.shape}, expected "
+            f"{(problem.n, problem.p)}"
+        )
+    return float(np.linalg.norm(R.conj().T @ R))
 
 
 _DEFAULT_OPTIONS = {
     "tol": 1e-8,
     "max_iter": 100,
     "truncation_tol": None,
-    "residual_every": 1,
     "record_timing": False,
 }
 
@@ -454,15 +459,14 @@ def ilrsi_solve(problem: CareProblem, shifts, options=None, **kwargs):
     if tol <= 0:
         raise ValueError("tol must be positive")
     max_iter = int(opts["max_iter"])
-    residual_every = max(1, int(opts["residual_every"]))
     rank_tol = opts["truncation_tol"] or 1e-12
 
     history = ConvergenceHistory()
-    n = problem.n
     if max_iter == 0:
         history.status = "max_iter"
-        empty = LowRankSolution(np.zeros((n, 0), dtype=complex),
-                                np.zeros((0, 0), dtype=complex))
+        dtype = _data_dtype(problem)
+        empty = LowRankSolution.from_basis(np.zeros((problem.n, 0), dtype),
+                                           np.zeros((0, 0), dtype), ())
         return empty, history
 
     cc_norm = float(np.linalg.norm(problem.C @ problem.C.conj().T))
@@ -473,15 +477,11 @@ def ilrsi_solve(problem: CareProblem, shifts, options=None, **kwargs):
             t0 = time.monotonic()
             state = ilrsi_init(problem, alpha) if state is None \
                 else ilrsi_step(state, alpha)
-            evaluate = (it % residual_every == 0) or (it == max_iter)
-            rel = np.nan
-            if evaluate:
-                rel = residual_norm(problem, state.solution, state.tracker) / cc_norm
+            rel = residual_norm(problem, state.residual_factor) / cc_norm
             seconds = (time.monotonic() - t0) if opts["record_timing"] else 0.0
-            history.append(it, dim=state.V.shape[1],
-                           rank=state._basis_qr.rank(rank_tol),
+            history.append(it, dim=state.dim, rank=state.basis.rank(rank_tol),
                            rel_residual=rel, seconds=seconds)
-            if evaluate and rel <= tol:
+            if rel <= tol:
                 history.status = "converged"
                 break
         else:

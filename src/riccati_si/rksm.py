@@ -307,8 +307,9 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
 
     pole_strategy is either a precomputed shift sequence (cycled) or one of
     the strings "adaptive_plain" / "adaptive_stabilized". Returns
-    (solution, history) with the solution refactored as V diag-free:
-    X = V V* absorbed into V (T = identity).
+    (solution, history); the solution X = U Y U*, for the orthonormal
+    basis U and the projected solution Y, comes in the factored form
+    X = V V* (``LowRankSolution.from_basis``).
     """
     if problem.E is not None:
         raise ValueError("rational Krylov solver supports E = identity only")
@@ -332,7 +333,6 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
     if tol <= 0:
         raise ValueError("tol must be positive")
     max_iter = int(opts["max_iter"])
-    residual_every = max(1, int(opts["residual_every"]))
 
     n, p = problem.n, problem.p
     shifted = ShiftedSolver(problem)
@@ -345,6 +345,7 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
         UAU=np.zeros((0, 0), dtype=dtype),
         UB=np.zeros((0, problem.q), dtype=dtype),
         CU=np.zeros((p, 0), dtype=dtype),
+        Y=np.zeros((0, 0), dtype=dtype),
     )
     tracker = ResidualTracker(problem)
     pending = []
@@ -360,12 +361,6 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
         seq_len = len(strategy.values if isinstance(strategy, ShiftSequence)
                       else strategy)
         saturation_limit = seq_len + 1
-
-    if max_iter == 0:
-        state.history.status = "max_iter"
-        empty = LowRankSolution(np.zeros((n, 0), dtype=dtype),
-                                np.zeros((0, 0), dtype=dtype))
-        return empty, state.history
 
     for it in range(1, max_iter + 1):
         t0 = time.monotonic()
@@ -425,32 +420,22 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
                 f"(pole {key}, dimension {state.U.shape[1]}): {exc}"
             ) from exc
 
-        evaluate = (it % residual_every == 0) or (it == max_iter)
-        rel = np.nan
-        if evaluate:
-            W = state.UB
-            UFU = W @ W.conj().T
-            mid = _middle_matrix(state.Y, UFU, p)
-            rel = tracker.weighted_norm(mid) / cc_norm
+        W = state.UB
+        rel = tracker.weighted_norm(
+            _middle_matrix(state.Y, W @ W.conj().T, p)) / cc_norm
         seconds = (time.monotonic() - t0) if opts["record_timing"] else 0.0
         eigs = np.linalg.eigvalsh(0.5 * (state.Y + state.Y.conj().T))
         rank = int(np.count_nonzero(eigs > 1e-12 * max(eigs.max(), 1e-300)))
         state.history.append(it, dim=state.U.shape[1], rank=rank,
                              rel_residual=rel, seconds=seconds)
-        if evaluate and rel <= tol:
+        if rel <= tol:
             state.history.status = "converged"
             break
     else:
         state.history.status = "max_iter"
 
-    lam, Wv = np.linalg.eigh(0.5 * (state.Y + state.Y.conj().T))
-    keep = lam > 1e-14 * max(lam.max(), 1e-300)
-    Vout = state.U @ (Wv[:, keep] * np.sqrt(lam[keep]))
-    solution = LowRankSolution(
-        V=Vout, T=np.eye(Vout.shape[1], dtype=Vout.dtype),
-        shifts_used=tuple(state.poles),
-    )
-    return solution, state.history
+    return LowRankSolution.from_basis(state.U, state.Y, state.poles), \
+        state.history
 
 
 def mirrored_ritz_fixed_point(problem: CareProblem, k, poles0,

@@ -92,7 +92,7 @@ def test_scalar_first_step_is_exact(criterion):
     p = scalar_problem()
     st = ilrsi_init(p, 2.0)
     x = float(st.solution.to_dense().real.ravel()[0])
-    res = residual_norm(p, st.solution, st.tracker)
+    res = residual_norm(p, st.residual_factor)
     criterion["detail"] = f"|X1 - 1| = {abs(x - 1.0):.2e}, residual {res:.2e}"
     assert abs(x - 1.0) <= 1e-12
     assert res <= 1e-12
@@ -195,7 +195,7 @@ def test_low_rank_residual_norm_matches_dense(criterion):
         st = None
         for a in sh:
             st = ilrsi_init(p, a) if st is None else ilrsi_step(st, a)
-        rn = residual_norm(p, st.solution, st.tracker)
+        rn = residual_norm(p, st.residual_factor)
         ref = np.linalg.norm(
             dense_riccati_residual(p, st.solution.to_dense()))
         worst = max(worst, abs(rn - ref) / ref)
@@ -209,7 +209,7 @@ def test_low_rank_residual_norm_matches_dense(criterion):
     st = None
     for a in sh:
         st = ilrsi_init(pE, a) if st is None else ilrsi_step(st, a)
-    rn = residual_norm(pE, st.solution, st.tracker)
+    rn = residual_norm(pE, st.residual_factor)
     ref = np.linalg.norm(dense_riccati_residual(pE, st.solution.to_dense()))
     worst = max(worst, abs(rn - ref) / ref)
     criterion["detail"] = f"worst rel error {worst:.2e} (incl. E != I)"

@@ -3,13 +3,14 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from riccati_si import (
     CSV_HEADER,
     CareProblem,
-    LowRankSolution,
     SolverBreakdown,
     care_residual,
+    dense_care_solve,
     dense_subspace_iteration,
     ilrsi_init,
     ilrsi_solve,
@@ -19,6 +20,7 @@ from riccati_si import (
     penzl_shifts,
     random_stable_problem,
     residual_norm,
+    rksm_solve,
 )
 from riccati_si.ilrsi import _BasisQR
 from oracles import (
@@ -29,14 +31,40 @@ from oracles import (
 )
 
 
+@pytest.fixture
+def added_blocks(monkeypatch):
+    """The blocks v_k that ilrsi appends to its basis: the columns of V."""
+    blocks = []
+    add = _BasisQR.add
+
+    def recording_add(self, W):
+        blocks.append(W.copy())
+        add(self, W)
+
+    monkeypatch.setattr(_BasisQR, "add", recording_add)
+    return blocks
+
+
+def _pair_problem():
+    """p = 2, q = 3 and E != I, for a shift list with a conjugate pair."""
+    rng = np.random.default_rng(8)
+    n = 30
+    base = random_stable_problem(n, 2, 3, seed=13)
+    E = np.eye(n) + 0.05 * rng.standard_normal((n, n))
+    return CareProblem(A=base.A, B=base.B, C=base.C, E=sp.csr_matrix(E),
+                       check_stability=False)
+
+
 class TestScalarChain:
     """Hand-computed trace for A=-1, B=1, C=sqrt(3), shifts 2 then 3."""
 
     def test_first_step(self):
         st1 = ilrsi_init(scalar_problem(), 2.0)
-        assert st1.V.ravel()[0] == pytest.approx(-4.0 * np.sqrt(3.0) / 3.0,
-                                                 abs=1e-14)
-        assert st1.T.ravel()[0] == pytest.approx(16.0 / 3.0, abs=1e-13)
+        V = st1.basis.Q @ st1.basis.R
+        assert V.ravel()[0] == pytest.approx(-4.0 * np.sqrt(3.0) / 3.0,
+                                             abs=1e-14)
+        assert 1.0 / st1.Y_inv[0].ravel()[0] == pytest.approx(16.0 / 3.0,
+                                                              abs=1e-13)
         assert st1.solution.to_dense().ravel()[0] == pytest.approx(1.0,
                                                                    abs=1e-13)
 
@@ -45,14 +73,14 @@ class TestScalarChain:
         st2 = ilrsi_step(st1, 3.0)
         # X_1 = 1 is exact, so R_1 = 0, v_2 = 0 and T_2 = diag(T_1, 2 a_2)
         expect = np.diag([16.0 / 3.0, 6.0])
-        assert np.allclose(st2.T, expect, atol=1e-12)
+        T = block_diag(*[np.linalg.inv(Y) for Y in st2.Y_inv])
+        assert np.allclose(T, expect, atol=1e-12)
         assert st2.solution.to_dense().ravel()[0] == pytest.approx(1.0,
                                                                    abs=1e-12)
 
     def test_residual_exact_at_solution(self):
         st1 = ilrsi_init(scalar_problem(), 2.0)
-        assert residual_norm(scalar_problem(), st1.solution,
-                             st1.tracker) <= 1e-12
+        assert residual_norm(scalar_problem(), st1.residual_factor) <= 1e-12
 
 
 class TestOracleEquivalence:
@@ -125,10 +153,11 @@ class TestStructure:
     def test_basis_grows_by_p_columns(self):
         p = random_stable_problem(18, 2, 1, seed=3)
         state = ilrsi_init(p, 1.0)
-        assert state.V.shape == (18, 2)
+        assert state.dim == 2
         state = ilrsi_step(state, 2.0)
-        assert state.V.shape == (18, 4)
-        assert state.T.shape == (4, 4)
+        assert state.dim == 4
+        assert (state.basis.Q @ state.basis.R).shape == (18, 4)
+        assert [Y.shape for Y in state.Y_inv] == [(2, 2), (2, 2)]
 
 
 class TestResidualNorm:
@@ -139,13 +168,10 @@ class TestResidualNorm:
         for i in range(6):
             a = vals[i % len(vals)]
             state = ilrsi_init(p, a) if state is None else ilrsi_step(state, a)
-        rn = residual_norm(p, state.solution, state.tracker)
+        rn = residual_norm(p, state.residual_factor)
         ref = np.linalg.norm(dense_riccati_residual(p,
                                                     state.solution.to_dense()))
         assert abs(rn - ref) <= 1e-10 * ref
-        # the generic path (QR sandwich without the factor) agrees
-        rn2 = residual_norm(p, state.solution, None)
-        assert abs(rn2 - ref) <= 1e-10 * ref
 
     def test_generalized_E(self):
         rng = np.random.default_rng(5)
@@ -157,7 +183,7 @@ class TestResidualNorm:
         state = None
         for a in (1.0, 3.0, 0.5, 2.2):
             state = ilrsi_init(p, a) if state is None else ilrsi_step(state, a)
-        rn = residual_norm(p, state.solution, state.tracker)
+        rn = residual_norm(p, state.residual_factor)
         ref = np.linalg.norm(dense_riccati_residual(p,
                                                     state.solution.to_dense()))
         assert abs(rn - ref) <= 1e-10 * ref
@@ -165,16 +191,11 @@ class TestResidualNorm:
     def test_factor_reproduces_residual_matrix(self):
         # p = 2, q = 3, E != I and a conjugate shift pair: R_k R_k* is the
         # whole residual matrix at every step, not only its norm
-        rng = np.random.default_rng(8)
-        n = 30
-        base = random_stable_problem(n, 2, 3, seed=13)
-        E = np.eye(n) + 0.05 * rng.standard_normal((n, n))
-        p = CareProblem(A=base.A, B=base.B, C=base.C, E=sp.csr_matrix(E),
-                        check_stability=False)
+        p = _pair_problem()
         state = None
         for a in (1.5, 0.8 + 0.6j, 0.8 - 0.6j, 2.5, 0.4):
             state = ilrsi_init(p, a) if state is None else ilrsi_step(state, a)
-            R = state.tracker
+            R = state.residual_factor
             ref = dense_riccati_residual(p, state.solution.to_dense())
             assert np.linalg.norm(R @ R.conj().T - ref) <= \
                 1e-10 * np.linalg.norm(ref)
@@ -184,21 +205,13 @@ class TestResidualNorm:
         p = random_stable_problem(10, 2, 1, seed=0)
         state = ilrsi_init(p, 1.0)
         with pytest.raises(ValueError, match="residual factor has shape"):
-            residual_norm(p, state.solution, state.tracker[:, :1])
+            residual_norm(p, state.residual_factor[:, :1])
 
     def test_zero_solution_gives_constant_term(self):
+        # X = 0 leaves the residual C*C, whose factor is C*
         p = random_stable_problem(10, 1, 1, seed=0)
-        empty = LowRankSolution(np.zeros((10, 0), dtype=complex),
-                                np.zeros((0, 0), dtype=complex))
-        assert residual_norm(p, empty) == pytest.approx(
+        assert residual_norm(p, p.C.conj().T) == pytest.approx(
             np.linalg.norm(p.C @ p.C.conj().T))
-
-    def test_singular_T_names_truncation(self):
-        p = random_stable_problem(10, 1, 1, seed=0)
-        bad = LowRankSolution(np.ones((10, 1), dtype=complex),
-                              np.zeros((1, 1), dtype=complex))
-        with pytest.raises(ValueError, match="numerically singular"):
-            residual_norm(p, bad)
 
 
 class TestRealArithmetic:
@@ -210,7 +223,8 @@ class TestRealArithmetic:
         for k in range(6):
             a = sh[k % len(sh)]
             state = ilrsi_init(p, a) if state is None else ilrsi_step(state, a)
-        for arr in (state.V, state.T, state.tracker, state.K):
+        for arr in (state.basis.Q, state.basis.R, *state.Y_inv,
+                    state.residual_factor, state.K, state.solution.V):
             assert arr.dtype == np.float64
         assert len(state.shifted.cache) == 4
         for lu in state.shifted.cache.values():
@@ -243,11 +257,11 @@ class TestRealArithmetic:
             X = state.solution.to_dense()
             ref = Ei.conj().T @ it.X @ Ei
             assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
-            R = state.tracker
+            R = state.residual_factor
             res = dense_riccati_residual(p, X)
             assert np.linalg.norm(R @ R.conj().T - res) <= \
                 1e-10 * np.linalg.norm(res)
-        assert np.iscomplexobj(state.tracker)
+        assert np.iscomplexobj(state.residual_factor)
         assert state.shifted.cache[2.0].L.dtype == np.float64
         assert np.isrealobj(X)
 
@@ -255,19 +269,51 @@ class TestRealArithmetic:
         (4, 30.0, 30, None),      # dim 30 > n = 16, rank saturates at 9
         (30, 500.0, 60, 1e-8),    # columns decay below the cutoff
     ])
-    def test_rank_column_matches_svd(self, m, alpha, steps, cutoff):
+    def test_rank_column_matches_svd(self, added_blocks, m, alpha, steps,
+                                     cutoff):
         # one shift cycled until V is numerically rank-deficient; V only
         # grows, so step k's basis is the first k columns of the final V
         p = make_laplacian_problem(m)
         sol, hist = ilrsi_solve(p, [alpha], tol=1e-30, max_iter=steps,
                                 truncation_tol=cutoff)
+        V = np.hstack(added_blocks)
         tol = cutoff or 1e-12
         expect = []
         for k in range(1, steps + 1):
-            s = np.linalg.svd(sol.V[:, :k], compute_uv=False)
+            s = np.linalg.svd(V[:, :k], compute_uv=False)
             expect.append(int(np.count_nonzero(s > tol * s[0])))
         assert [r.rank for r in hist.records] == expect
         assert expect[-1] < min(p.n, steps)
+
+
+class TestCompressedSolution:
+    @pytest.mark.parametrize("case", ["laplacian-4", "laplacian-30", "pair"])
+    def test_matches_uncompressed_iterate(self, added_blocks, case):
+        # X = Q (R T^{-1} R*) Q* compressed to its numerical rank acts like
+        # V T^{-1} V*, with V the appended blocks and T = blkdiag(Y_k)
+        # rebuilt here from them
+        if case == "laplacian-4":      # dim 30 > n = 16
+            p, shifts = make_laplacian_problem(4), [30.0] * 30
+        elif case == "laplacian-30":   # columns decay below rounding
+            p, shifts = make_laplacian_problem(30), [500.0] * 60
+        else:
+            p, shifts = _pair_problem(), [1.5, 0.8 + 0.6j, 0.8 - 0.6j, 2.5,
+                                          0.4]
+        Bh = p.B.conj().T
+        omega = np.random.default_rng(0).standard_normal((p.n, 5))
+        state = None
+        for a in shifts:
+            state = ilrsi_init(p, a) if state is None else ilrsi_step(state, a)
+            V = np.hstack(added_blocks)
+            T = block_diag(*[2.0 * r * np.eye(p.p)
+                             + (Bh @ v).conj().T @ (Bh @ v) / (2.0 * r)
+                             for v, r in zip(added_blocks,
+                                             np.real(shifts))])
+            ref = V @ np.linalg.solve(T, V.conj().T @ omega)
+            got = state.solution.apply(omega)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        if case != "pair":
+            assert state.solution.dim < state.dim
 
 
 class TestSolverLoop:
@@ -293,11 +339,20 @@ class TestSolverLoop:
         assert list(sol.shifts_used) == [1.0, 2.0, 1.0, 2.0, 1.0]
 
     def test_max_iter_zero(self):
-        p = random_stable_problem(8, 1, 1, seed=0)
-        sol, hist = ilrsi_solve(p, [1.0], max_iter=0)
-        assert hist.status == "max_iter"
-        assert sol.dim == 0
-        assert hist.records == []
+        # both solvers return an empty X = V V* in the dtype of the data
+        base = random_stable_problem(8, 1, 1, seed=0)
+        cplx = CareProblem(A=base.A + 0.3j * sp.identity(8, format="csr"),
+                           B=base.B, C=base.C)
+        for p, dtype in ((base, np.float64), (cplx, np.complex128)):
+            for solve in (ilrsi_solve, rksm_solve):
+                sol, hist = solve(p, [1.0], max_iter=0)
+                assert hist.status == "max_iter"
+                assert sol.dim == 0
+                assert hist.records == []
+                assert sol.V.shape == (8, 0) and sol.V.dtype == dtype
+                X = sol.to_dense()
+                assert X.dtype == dtype and not X.any()
+                assert not sol.apply(np.ones((8, 2))).any()
 
     def test_max_iter_exhaustion(self):
         p = random_stable_problem(15, 1, 1, seed=2)
@@ -305,16 +360,18 @@ class TestSolverLoop:
         assert hist.status == "max_iter"
         assert len(hist.records) == 3
 
-    def test_residual_every_skips_rows(self):
-        p = random_stable_problem(15, 1, 1, seed=2)
-        _, hist = ilrsi_solve(p, [1.0, 2.5], tol=1e-16, max_iter=5,
-                              residual_every=2)
-        rels = [r.rel_residual for r in hist.records]
-        assert np.isnan(rels[0]) and np.isnan(rels[2])
-        assert not np.isnan(rels[1]) and not np.isnan(rels[3])
-        # the final row is always evaluated
-        assert not np.isnan(rels[4])
-        assert "nan" in hist.to_csv()
+    @pytest.mark.filterwarnings("ignore:right-hand-side ranks")
+    @settings(max_examples=60)
+    @given(st.integers(8, 40), st.integers(1, 3), st.integers(1, 3),
+           st.integers(0, 2 ** 31 - 1))
+    def test_converged_solve_matches_dense_solution(self, n, p, q, seed):
+        prob = random_stable_problem(n, p, q, seed=seed)
+        sol, hist = ilrsi_solve(prob, penzl_shifts(prob, m=6), tol=1e-10,
+                                max_iter=100)
+        if hist.status == "converged":
+            Xs = dense_care_solve(prob)
+            assert np.linalg.norm(sol.to_dense() - Xs) <= \
+                1e-6 * np.linalg.norm(Xs)
 
     def test_unknown_option_rejected(self):
         p = random_stable_problem(8, 1, 1, seed=0)
