@@ -67,13 +67,6 @@ def _hermitize(X):
     return 0.5 * (X + X.conj().T)
 
 
-def _realify(X, tol=1e-10):
-    nrm = np.linalg.norm(X)
-    if nrm == 0 or np.linalg.norm(X.imag) <= tol * nrm:
-        return np.ascontiguousarray(X.real)
-    return X
-
-
 def care_residual(A, B, C, X) -> np.ndarray:
     """Residual A*X + XA - X BB* X + C*C, assembled densely."""
     A = np.asarray(A)
@@ -129,10 +122,19 @@ def care_solve_dense(A, B, C, check_tol=1e-10) -> np.ndarray:
 
 
 def dense_care_solve(problem: CareProblem, check_tol=1e-10) -> np.ndarray:
-    """Stabilizing solution of the problem's (possibly generalized) equation."""
+    """Stabilizing solution of the problem's (possibly generalized) equation.
+
+    The balanced equation, with (A, sqrt(s) B, C / sqrt(s)) for
+    s = ||C||_F / ||B||_F (s = 1 when B or C is zero), is solved instead,
+    and X is s times its solution. Rescaling (B, C) to (B / g, g C) then
+    leaves the balanced equation as it is and X scales by exactly g^2.
+    """
     _check_size(problem.n)
     A, B, C = _dense_parts(problem)
-    return care_solve_dense(A, B, C, check_tol=check_tol)
+    nb, nc = np.linalg.norm(B), np.linalg.norm(C)
+    s = nc / nb if nb and nc else 1.0
+    return s * care_solve_dense(A, np.sqrt(s) * B, C / np.sqrt(s),
+                                check_tol=check_tol)
 
 
 def cayley(H, alpha) -> np.ndarray:

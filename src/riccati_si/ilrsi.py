@@ -186,25 +186,30 @@ def _middle_matrix(Tinv_like, VFV, p):
 
 
 class _BasisQR:
-    """Thin QR V = Q R of a growing set of columns: ilrsi's basis V, whose
-    rank column comes from the small R (with Q orthonormal, V and R have
-    the same singular values), and the columns of the residual tracker.
+    """Thin QR V = Q R of a growing set of columns. It has three users:
+    ilrsi's basis V, whose rank column comes from the small R (with Q
+    orthonormal, V and R have the same singular values); the columns of the
+    residual tracker; and rksm's orthonormal basis U, which is Q itself.
 
     Each block of new columns is orthogonalized against Q by block classical
     Gram-Schmidt run twice (BCGS2), with a column-pivoted QR of the block
-    between the passes. A column whose pivot there is at most ``_noise_tol``
+    between the passes. A column whose pivot there is at most ``noise_tol``
     of its norm (one already in span(Q), or a repeat within the block) adds
-    only coefficients to R. A unit column that the second pass shrinks below
-    ``_drop_tol`` lay mostly in span(Q) and is left out too (found by a
-    second pivoted QR), so Q keeps orthonormal columns, at most n of them.
+    only coefficients to R. ``noise_tol`` is 1e-13 for ilrsi and the
+    tracker, whose Q R must reproduce every column. rksm passes 1e-10: its
+    basis only has to span the space, and at 1e-13 it keeps directions that
+    are dependent up to rounding, which make its bases larger. A unit column
+    that the second pass shrinks below ``_drop_tol`` lay mostly in span(Q)
+    and is left out too (found by a second pivoted QR), so Q keeps
+    orthonormal columns, at most n of them.
     R has a row per column of Q and a column per column of V. Q lives in a
     buffer that doubles its capacity when full; products with it are formed
     as (W* Q)*, which never copies its conjugate."""
 
-    _noise_tol = 1e-13
     _drop_tol = 0.5
 
-    def __init__(self, n, dtype):
+    def __init__(self, n, dtype, noise_tol=1e-13):
+        self._noise_tol = noise_tol
         self._buf = np.zeros((n, 0), dtype=dtype)
         self._k = 0
         self.R = np.zeros((0, 0), dtype=dtype)
@@ -446,7 +451,8 @@ def ilrsi_solve(problem: CareProblem, shifts, options=None, **kwargs):
     """Run the incremental iteration until the relative residual drops below
     tol or max_iter steps are spent; the shift list is cycled as needed.
     truncation_tol, when given, is the relative singular-value cutoff of the
-    history's rank column (default 1e-12); it does not change the iterate.
+    history's rank column, in (0, 1) (default 1e-12); it does not change the
+    iterate.
 
     Returns (solution, history). A breakdown is re-raised with the partial
     history attached.
@@ -459,7 +465,10 @@ def ilrsi_solve(problem: CareProblem, shifts, options=None, **kwargs):
     if tol <= 0:
         raise ValueError("tol must be positive")
     max_iter = int(opts["max_iter"])
-    rank_tol = opts["truncation_tol"] or 1e-12
+    rank_tol = 1e-12 if opts["truncation_tol"] is None \
+        else float(opts["truncation_tol"])
+    if not 0.0 < rank_tol < 1.0:
+        raise ValueError(f"truncation_tol must be in (0, 1), got {rank_tol}")
 
     history = ConvergenceHistory()
     if max_iter == 0:

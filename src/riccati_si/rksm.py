@@ -3,13 +3,17 @@ incremental subspace iteration.
 
 rksm_solve projects the Riccati equation onto a rational Krylov space built
 one resolvent solve per pole and solves the small projected equation densely
-each iteration. The resolvent solves go through the shifted-solve service
-the incremental iteration uses (``ShiftedSolver``): on real data the state
-stays in real arithmetic until the first complex pole, real poles get real
-factors, and the conjugate partner of a complex pole reuses its factor.
-Adaptive poles after the first come from the eigenvalues of the projected
-matrices the loop already holds, not from products with the basis, and the
-residual's QR grows blockwise.
+each iteration. The orthonormal basis U grows through the blockwise thin QR
+ilrsi uses (``_BasisQR``): each resolvent block is added with one
+``_BasisQR.add``, and a direction is dropped (deflated) when
+orthogonalization leaves at most 1e-10 of that column's own norm, so the
+decision does not depend on the scale of C. The resolvent solves go through
+the shifted-solve service the incremental iteration uses
+(``ShiftedSolver``): on real data the state stays in real arithmetic until
+the first complex pole, real poles get real factors, and the conjugate
+partner of a complex pole reuses its factor. Adaptive poles after the first
+come from the eigenvalues of the projected matrices the loop already holds,
+not from products with the basis, and the residual's QR grows blockwise.
 
 build_distinct_basis assembles the same space (with the same solves) in its
 distinct-shift normal form V = [(-A*+a_1 I)^{-1}C*, ...] together with the
@@ -34,26 +38,35 @@ from .ilrsi import (
     ResidualTracker,
     ShiftedSolver,
     SolverBreakdown,
+    _BasisQR,
     _merge_options,
     _middle_matrix,
 )
 from .shifts import ShiftSequence, _mirrored_ritz_pole, adaptive_pole
 
 _DISTINCT_TOL = 1e-12
+# A new basis direction is dropped when orthogonalization leaves at most
+# this fraction of its incoming column's norm (``_BasisQR``'s noise_tol).
+_DEFLATION_TOL = 1e-10
 
 
 @dataclass
 class RksmState:
-    """Orthonormal basis with its projections onto the problem data, the
-    reduced solution, and the pole log."""
+    """Orthonormal basis (the Q of a ``_BasisQR``) with its projections onto
+    the problem data, the reduced solution, and the pole log."""
 
-    U: np.ndarray
+    basis: _BasisQR
     UAU: np.ndarray
     UB: np.ndarray
     CU: np.ndarray
     poles: list = field(default_factory=list)
     Y: np.ndarray = None
     history: ConvergenceHistory = field(default_factory=ConvergenceHistory)
+
+    @property
+    def U(self):
+        """The orthonormal basis, a view into the basis buffer."""
+        return self.basis.Q
 
 
 @dataclass
@@ -229,45 +242,6 @@ def residual_rank_diagnostic(problem: CareProblem, data: DistinctShiftBasisData)
 # ---------------------------------------------------------------------------
 # the solver
 
-def _orthonormalize_against(U, cols, drop_tol=1e-10):
-    """Orthogonalize cols against U (two passes) and among themselves,
-    dropping directions whose remaining mass is below drop_tol relative to
-    the incoming column norm. Returns the kept orthonormal columns, in the
-    common dtype of U and cols. Products with U are formed as (W* U)*, which
-    never copies the conjugate of U."""
-    W = cols.astype(np.result_type(U, cols))
-    incoming = np.linalg.norm(W)
-    if incoming == 0.0:
-        return W[:, :0]
-    for _ in range(2):
-        if U.shape[1]:
-            W -= U @ (W.conj().T @ U).conj().T
-    kept = []
-    for i in range(W.shape[1]):
-        w = W[:, i].copy()
-        for u in kept:
-            w -= u * (u.conj() @ w)
-        nrm = np.linalg.norm(w)
-        if nrm <= drop_tol * max(incoming, 1.0):
-            continue
-        w /= nrm
-        for _ in range(1):
-            if U.shape[1]:
-                w -= U @ (w.conj() @ U).conj()
-            for u in kept:
-                w -= u * (u.conj() @ w)
-            nn = np.linalg.norm(w)
-            if nn <= drop_tol:
-                w = None
-                break
-            w /= nn
-        if w is not None:
-            kept.append(w)
-    if not kept:
-        return W[:, :0]
-    return np.column_stack(kept)
-
-
 def _next_pole(problem, state, strategy, pending, it):
     """Pick the pole for the next expansion; complex poles enqueue their
     conjugate partner so the space stays conjugation-closed.
@@ -341,7 +315,7 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
     cc_norm = float(np.linalg.norm(problem.C @ problem.C.conj().T))
 
     state = RksmState(
-        U=np.zeros((n, 0), dtype=dtype),
+        basis=_BasisQR(n, dtype, noise_tol=_DEFLATION_TOL),
         UAU=np.zeros((0, 0), dtype=dtype),
         UB=np.zeros((0, problem.q), dtype=dtype),
         CU=np.zeros((p, 0), dtype=dtype),
@@ -369,11 +343,14 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
         try:
             raw = shifted.solve(key, chains.get(key, Cstar))
         except SolverBreakdown as exc:
+            state.history.status = "breakdown"
             exc.history = state.history
             raise
         chains[key] = raw / max(np.linalg.norm(raw), 1e-300)
 
-        new_cols = _orthonormalize_against(state.U, raw)
+        U = state.U
+        state.basis.add(raw)
+        new_cols = state.U[:, U.shape[1]:]
         if new_cols.shape[1] < p:
             warnings.warn(
                 f"deflated {p - new_cols.shape[1]} dependent direction(s) "
@@ -400,24 +377,25 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
         c = new_cols.shape[1]
         AN = problem.A @ new_cols
         AsN = shifted.Astar @ new_cols
-        side = (np.hstack([AN, AsN]).conj().T @ state.U).conj().T
+        side = (np.hstack([AN, AsN]).conj().T @ U).conj().T
         state.UAU = np.block([
             [state.UAU, side[:, :c]],
             [side[:, c:].conj().T, new_cols.conj().T @ AN],
         ])
         state.UB = np.vstack([state.UB, new_cols.conj().T @ problem.B])
         state.CU = np.hstack([state.CU, problem.C @ new_cols])
-        state.U = np.hstack([state.U, new_cols])
         tracker.add_step(AsN, new_cols)
 
         try:
             state.Y = care_solve_dense(state.UAU, state.UB, state.CU,
                                        check_tol=1e-6)
         except (ValueError, RuntimeError) as exc:
-            raise RuntimeError(
+            state.history.status = "breakdown"
+            raise SolverBreakdown(
                 "projected equation has no stabilizing solution; the "
                 "Galerkin step is only guaranteed for passive A "
-                f"(pole {key}, dimension {state.U.shape[1]}): {exc}"
+                f"(pole {key}, dimension {state.U.shape[1]}): {exc}",
+                shift=key, history=state.history,
             ) from exc
 
         W = state.UB

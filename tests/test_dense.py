@@ -69,6 +69,19 @@ def test_generalized_E_fold_in():
     assert np.linalg.norm(R) <= 1e-9 * cc
 
 
+@pytest.mark.parametrize("gamma", [1e-3, 1e3, 1e-5, 1e5])
+def test_rescaled_input_scales_solution(gamma):
+    # (A, B / g, g C) has the solution g^2 X; unbalanced, the Schur solve
+    # fails its residual check or miscounts stable eigenvalues on these
+    p = random_stable_problem(40, 2, 2, seed=1)
+    X = dense_care_solve(p)
+    scaled = CareProblem(A=p.A, B=p.B / gamma, C=gamma * p.C,
+                         check_stability=False)
+    Xg = dense_care_solve(scaled)
+    assert np.linalg.norm(Xg - gamma**2 * X) <= \
+        1e-12 * np.linalg.norm(gamma**2 * X)
+
+
 def test_hamiltonian_block_structure():
     p = random_stable_problem(9, 2, 1, seed=5)
     A = p.A.toarray()

@@ -378,6 +378,12 @@ class TestSolverLoop:
         with pytest.raises(ValueError, match="unknown option"):
             ilrsi_solve(p, [1.0], speed="ludicrous")
 
+    @pytest.mark.parametrize("trunc", [0, 1, 2, -1e-3])
+    def test_truncation_tol_outside_unit_interval_rejected(self, trunc):
+        p = random_stable_problem(8, 1, 1, seed=0)
+        with pytest.raises(ValueError, match="truncation_tol"):
+            ilrsi_solve(p, [1.0], truncation_tol=trunc)
+
     def test_empty_shift_list_rejected(self):
         p = random_stable_problem(8, 1, 1, seed=0)
         with pytest.raises(ValueError, match="nonempty"):

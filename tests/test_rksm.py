@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from riccati_si import (
     CareProblem,
     LowRankSolution,
     RksmState,
+    SolverBreakdown,
     adaptive_pole,
     build_distinct_basis,
     check_entrywise_T,
@@ -25,7 +27,9 @@ from riccati_si import (
     residual_rank_diagnostic,
     rksm_solve,
 )
+from riccati_si import cli
 from riccati_si.dense import care_solve_dense
+from riccati_si.ilrsi import _BasisQR
 from riccati_si.rksm import _next_pole
 from oracles import (
     dense_riccati_residual,
@@ -201,6 +205,22 @@ class TestSolver:
         with pytest.raises(RuntimeError, match="passive"):
             rksm_solve(p, [2.0], tol=1e-12, max_iter=1)
 
+    @pytest.mark.filterwarnings("ignore:deflated", "ignore:rational Krylov")
+    def test_deflation_independent_of_data_scale(self):
+        # (A, B / g, g C) has the same rational Krylov spaces and the
+        # solution g^2 X, so it must take the same steps
+        prob = random_stable_problem(200, 2, 1, seed=0)
+        g = 1e-3
+        scaled = CareProblem(A=prob.A, B=prob.B / g, C=g * prob.C,
+                             check_stability=False)
+        runs = [rksm_solve(q, "adaptive_plain", tol=1e-9, max_iter=80)
+                for q in (prob, scaled)]
+        (sol, hist), (sol_g, hist_g) = runs
+        assert hist.status == hist_g.status
+        assert len(sol.shifts_used) == len(sol_g.shifts_used)
+        assert [r.dim for r in hist.records] == \
+            [r.dim for r in hist_g.records]
+
     def test_input_validation(self):
         p = random_stable_problem(8, 1, 1, seed=0)
         with pytest.raises(ValueError, match="pole strategy"):
@@ -212,6 +232,105 @@ class TestSolver:
                          check_stability=False)
         with pytest.raises(ValueError, match="identity"):
             rksm_solve(pe, [1.0])
+
+
+_RKSM_CONFIG = {
+    "problem": {"kind": "laplacian", "m": 6},
+    "solver": "rksm",
+    "shifts": {"kind": "penzl", "m": 6},
+    "tol": 1e-8,
+    "max_iter": 40,
+}
+
+
+@pytest.fixture
+def projection_fails_third_time(monkeypatch):
+    """The projected-equation solve raises on its third call."""
+    calls = []
+
+    def failing_care(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ValueError("injected failure")
+        return care_solve_dense(*args, **kwargs)
+
+    monkeypatch.setattr(riccati_si.rksm, "care_solve_dense", failing_care)
+
+
+class TestBreakdownHistory:
+    def test_singular_resolvent(self):
+        # -A* + 2 I is singular; the first pole gives one history row
+        A = sp.csr_matrix(np.diag([-1.0, 2.0]))
+        p = CareProblem(A=A, B=np.ones((2, 1)), C=np.ones((1, 2)),
+                        check_stability=False)
+        with pytest.raises(SolverBreakdown, match="singular") as info:
+            rksm_solve(p, [1.0, 2.0], tol=1e-30, max_iter=5)
+        assert info.value.shift == 2.0
+        assert info.value.history.status == "breakdown"
+        assert len(info.value.history.records) == 1
+
+    def test_projection_failure(self, projection_fails_third_time):
+        p = passive_problem(40, seed=5)
+        with pytest.raises(SolverBreakdown, match="passive") as info:
+            rksm_solve(p, penzl_shifts(p, m=8), tol=1e-30, max_iter=10)
+        assert info.value.history.status == "breakdown"
+        assert len(info.value.history.records) == 2
+
+    def test_cli_run_writes_partial_history(self, projection_fails_third_time,
+                                            tmp_path):
+        cfg = tmp_path / "rksm.json"
+        cfg.write_text(json.dumps(_RKSM_CONFIG))
+        assert cli.main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 3
+        rows = (tmp_path / "history.csv").read_text().splitlines()
+        assert len(rows) == 3
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["status"] == "breakdown"
+
+    def test_cli_compare_reports_breakdown(self, projection_fails_third_time,
+                                           tmp_path, capsys):
+        paths = []
+        for name, doc in (("ilrsi", dict(_RKSM_CONFIG, solver="ilrsi")),
+                          ("rksm", _RKSM_CONFIG)):
+            paths.append(str(tmp_path / f"{name}.json"))
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        assert cli.main(["compare", "--configs", *paths,
+                         "--out", str(tmp_path)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        verdict = json.loads((tmp_path / "verdict.json").read_text())
+        assert verdict["reached_tol_at_dim"]["run1_rksm_penzl"] is None
+
+
+class TestSeededSweep:
+    @pytest.mark.filterwarnings("ignore:deflated", "ignore:rational Krylov")
+    def test_breakdown_count(self):
+        # one batch shaped like the benchmark's rksm sweep: n = 200,
+        # p in {1, 2, 3}, q in {1, 3}, two problem seeds each, three pole
+        # strategies
+        converged, breakdowns, worst = 0, 0, 0.0
+        cases = [(p, q) for _ in range(2) for p in (1, 2, 3) for q in (1, 3)]
+        for seed, (p, q) in enumerate(cases):
+            prob = random_stable_problem(200, p, q, seed=seed)
+            Xs = dense_care_solve(prob)
+            for poles in ("adaptive_plain", "adaptive_stabilized",
+                          penzl_shifts(prob, m=10)):
+                try:
+                    sol, hist = rksm_solve(prob, poles, tol=1e-9,
+                                           max_iter=80)
+                except SolverBreakdown:
+                    breakdowns += 1
+                    continue
+                if hist.status != "converged":
+                    breakdowns += hist.status == "breakdown"
+                    continue
+                converged += 1
+                err = np.linalg.norm(sol.to_dense() - Xs) / np.linalg.norm(Xs)
+                worst = max(worst, err)
+        assert worst <= 1e-6
+        # 16 of 36 converge here, 20 end in breakdown; 2 spare for BLAS
+        # rounding
+        assert converged >= 14, \
+            f"{converged} of 36 converged, {breakdowns} breakdowns"
 
 
 @pytest.fixture
@@ -274,13 +393,15 @@ class TestRealArithmetic:
         # complex winner and its conjugate do not tie.
         p = passive_problem(40, seed=5)
         rng = np.random.default_rng(1)
-        U = np.linalg.qr(rng.standard_normal((p.n, 5)))[0]
+        basis = _BasisQR(p.n, float)
+        basis.add(rng.standard_normal((p.n, 5)))
+        U = basis.Q
         UAU = U.T @ (p.A @ U)
         UB = U.T @ p.B
         CU = p.C @ U
         Y = care_solve_dense(UAU, UB, CU)
-        state = RksmState(U=U, UAU=UAU, UB=UB, CU=CU, poles=[1.0, 2.0 + 0.5j],
-                          Y=Y)
+        state = RksmState(basis=basis, UAU=UAU, UB=UB, CU=CU,
+                          poles=[1.0, 2.0 + 0.5j], Y=Y)
         pending = []
         pole = _next_pole(p, state, strategy, pending, 0)
         current = LowRankSolution.from_basis(U, Y, ()) \
