@@ -342,6 +342,11 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
         key = complex(pole)
         try:
             raw = shifted.solve(key, chains.get(key, Cstar))
+            if not np.isfinite(raw).all():
+                raise SolverBreakdown(
+                    f"shifted solve produced non-finite values for pole "
+                    f"{key}", shift=key,
+                )
         except SolverBreakdown as exc:
             state.history.status = "breakdown"
             exc.history = state.history

@@ -269,6 +269,17 @@ class TestBreakdownHistory:
         assert info.value.history.status == "breakdown"
         assert len(info.value.history.records) == 1
 
+    def test_non_finite_resolvent(self, monkeypatch):
+        # without the check, the non-finite block would reach the basis QR
+        monkeypatch.setattr(riccati_si.ilrsi.ShiftedSolver, "solve",
+                            lambda self, alpha, rhs: np.inf * rhs)
+        p = passive_problem(20, seed=5)
+        with pytest.raises(SolverBreakdown, match="non-finite") as info:
+            rksm_solve(p, [1.0], tol=1e-30, max_iter=3)
+        assert info.value.shift == 1.0
+        assert info.value.history.status == "breakdown"
+        assert info.value.history.records == []
+
     def test_projection_failure(self, projection_fails_third_time):
         p = passive_problem(40, seed=5)
         with pytest.raises(SolverBreakdown, match="passive") as info:
