@@ -16,9 +16,12 @@ from Q (R T^{-1} R*) Q* to the numerical rank.
 Real data (A and E real; B and C always are) stays in real arithmetic: the
 state starts as float64 and only a complex shift promotes it. The shifted
 systems are factored and solved by ``ShiftedSolver``, which both iterations
-use: it factors each real shift in real arithmetic, applies the factor of a
-complex shift also to its conjugate, and uses the LU column ordering chosen
-once per problem from the sparsity pattern of A and E (``lu_ordering``).
+use: it factors each real shift in real arithmetic and applies the factor of
+a complex shift also to its conjugate. How it factors is chosen once per
+problem from the sparsity pattern of A and E (``factor_path``): a narrow band
+(a banded Toeplitz matrix) gets a LAPACK band LU (``gbtrf``), anything else
+a SuperLU factor with a fill-reducing column ordering. ``sparse_lu`` makes
+the same choice for the one-off factors of A in ``shifts``.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg import block_diag
+from scipy.linalg.lapack import get_lapack_funcs
 from scipy.sparse.linalg import splu
 
-from .problems import CareProblem, lu_ordering
+from .problems import CareProblem, factor_path
 
 CSV_HEADER = "iter,dim,rank,rel_residual,seconds"
 
@@ -269,17 +273,73 @@ def _data_dtype(problem: CareProblem):
                           float if E is None else E.dtype)
 
 
+def _band(M, kl, ku):
+    """M in the layout ``gbtrf`` factors in place: a (2 kl + ku + 1) x n
+    array in Fortran order, M[i, j] at row kl + ku + i - j of column j, with
+    the first kl rows left for the fill of row pivoting. Every nonzero of M
+    must lie in the band; explicit zeros may lie outside it."""
+    M = sp.csc_matrix(M, copy=True)
+    M.sum_duplicates()
+    M.eliminate_zeros()
+    n = M.shape[1]
+    cols = np.repeat(np.arange(n), np.diff(M.indptr))
+    ab = np.zeros((2 * kl + ku + 1, n), dtype=M.dtype, order="F")
+    # entry (kl + ku + i - j, j) of ab, in its Fortran-order memory
+    ab.reshape(-1, order="F")[kl + ku + M.indices + cols * (2 * kl + ku)] \
+        = M.data
+    return ab
+
+
+class _BandLU:
+    """LAPACK band LU (``gbtrf``) of a matrix in the layout of ``_band``,
+    which it overwrites, with the ``solve(rhs, trans)`` of a SuperLU factor
+    (``gbtrs``). Like ``splu``, it raises RuntimeError for an exactly
+    singular matrix."""
+
+    _TRANS = {"N": 0, "T": 1, "H": 2}
+
+    def __init__(self, ab, kl, ku):
+        gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        self._lu, self._piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
+        self.kl, self.ku = kl, ku
+
+    def solve(self, rhs, trans="N"):
+        rhs = np.asarray(rhs)
+        if not np.can_cast(rhs.dtype, self._lu.dtype):
+            raise TypeError(f"Cannot cast array data from {rhs.dtype} to "
+                            f"{self._lu.dtype} according to the rule 'safe'")
+        return self._gbtrs(self._lu, self.kl, self.ku, rhs, self._piv,
+                           trans=self._TRANS[trans])[0]
+
+
+def sparse_lu(M):
+    """LU factor of the sparse matrix M along ``factor_path(M)``: a band LU
+    or SuperLU. Either has ``solve(rhs, trans="N")`` with trans "N", "T" or
+    "H"."""
+    path = factor_path(M)
+    if path[0] == "band":
+        return _BandLU(_band(M, *path[1:]), *path[1:])
+    return splu(sp.csc_matrix(M), permc_spec=path[1])
+
+
 class ShiftedSolver:
     """Applies (-A* + alpha E*)^{-1}, factoring once per distinct shift; the
     one place where the iterations factor and solve shifted systems.
 
     It holds A* and E* in the dtype of the data (float64 when A and E are
-    real; B and C always are), the LU column ordering chosen from their
-    sparsity pattern (``lu_ordering``) and the factor cache. On real data a
-    real shift is factored in real arithmetic, and a complex shift whose
+    real; B and C always are), the factor path chosen from their sparsity
+    pattern (``factor_path``) and the factor cache. ``factor_path`` is
+    ``("band", kl, ku)`` when A* (with E*) has a narrow band: the band of
+    -A* (and of E*) is then laid out once, and each shift adds itself to a
+    copy and factors it in place with LAPACK's ``gbtrf``, so a factor costs
+    no sparse temporaries. Otherwise it is ``("superlu", permc_spec)``, and
+    each shift gets a SuperLU factor with that column ordering. On real data
+    a real shift is factored in real arithmetic, and a complex shift whose
     conjugate is already factored reuses that factor, because
     (-A* + conj(alpha) E*)^{-1} y = conj((-A* + alpha E*)^{-1} conj(y)).
-    Any other shift gets one complex factor. SuperLU cannot apply a real
+    Any other shift gets one complex factor. Neither path applies a real
     factor to a complex right-hand side, so such a right-hand side is solved
     as its real and imaginary parts side by side."""
 
@@ -290,8 +350,28 @@ class ShiftedSolver:
         self.Astar = problem.A.conj().T.tocsc().astype(self.dtype)
         self.Estar = None if E is None else \
             E.conj().T.tocsc().astype(self.dtype)
-        self.permc_spec = lu_ordering(problem.A, E)
+        self.factor_path = factor_path(self.Astar, self.Estar)
+        if self.factor_path[0] == "band":
+            kl, ku = self.factor_path[1:]
+            self._band_A = _band(-self.Astar, kl, ku)
+            self._band_E = None if E is None else _band(self.Estar, kl, ku)
         self.cache = {}
+
+    def _factor(self, shift):
+        """Factor of -A* + shift E*; shift is a float for a real factor."""
+        if self.factor_path[0] == "superlu":
+            E = sp.identity(self.n, format="csc") if self.Estar is None \
+                else self.Estar
+            return splu(shift * E - self.Astar,
+                        permc_spec=self.factor_path[1])
+        kl, ku = self.factor_path[1:]
+        if self._band_E is None:
+            ab = self._band_A.astype(np.result_type(self._band_A, shift),
+                                     order="F")
+            ab[kl + ku] += shift
+        else:
+            ab = shift * self._band_E + self._band_A
+        return _BandLU(ab, kl, ku)
 
     def solve(self, alpha, rhs):
         key = complex(alpha)
@@ -302,11 +382,8 @@ class ShiftedSolver:
         real_factor = real_data and key.imag == 0
         lu = self.cache.get(key)
         if lu is None:
-            shift = key.real if real_factor else key
-            E = sp.identity(self.n, format="csc") if self.Estar is None \
-                else self.Estar
             try:
-                lu = splu(shift * E - self.Astar, permc_spec=self.permc_spec)
+                lu = self._factor(key.real if real_factor else key)
             except RuntimeError as exc:
                 raise SolverBreakdown(
                     f"-A* + alpha E* is singular for alpha = {key}", shift=key

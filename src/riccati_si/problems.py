@@ -95,17 +95,39 @@ class CareProblem:
         return self.B.shape[1]
 
 
-def lu_ordering(A, E=None) -> str:
-    """SuperLU column ordering (``permc_spec``) for matrices with the
-    sparsity pattern of A (plus E): minimum degree on A* + A when that
-    pattern is structurally symmetric, where it needs far less fill than
-    COLAMD, and COLAMD otherwise. Shifting the diagonal does not change the
-    answer."""
+def factor_path(A, E=None) -> tuple:
+    """How matrices with the sparsity pattern of A (plus E), shifted on the
+    diagonal, are factored: ``("band", kl, ku)`` for a LAPACK band LU with
+    kl subdiagonals and ku superdiagonals, or ``("superlu", permc_spec)``
+    for SuperLU with that column ordering.
+
+    The band path is taken when the band is narrow in two senses. Its
+    storage with room for pivoting, n (2 kl + ku + 1) entries, is at most
+    twice the nonzeros, so the band LU, whose dense kernels run over the
+    whole band, spends little work on zeros. And its width kl + ku + 1 is
+    at most sqrt(n), so the band is a vanishing share of the matrix. The
+    second test keeps small and nearly dense matrices, whose band is most of
+    the matrix and whose factors are cheap either way, on SuperLU (a
+    triangular n = 200 matrix passes the first test at 1.99 times its
+    nonzeros); a large banded matrix passes it with room to spare. The
+    Toeplitz matrices of ``make_toeplitz_problem`` take the band path (1.6
+    times the nonzeros, width 5 at any n >= 25), 2-D Laplacians on an m x m
+    grid take SuperLU (band storage about 0.6 m times the nonzeros).
+
+    SuperLU's ordering is minimum degree on A* + A when the pattern is
+    structurally symmetric, where it needs far less fill than COLAMD, and
+    COLAMD otherwise."""
     S = abs(sp.csr_matrix(A))
     if E is not None:
         S = S + abs(sp.csr_matrix(E))
     S = S != 0
-    return "MMD_AT_PLUS_A" if (S != S.T).nnz == 0 else "COLAMD"
+    n = S.shape[0]
+    offset = np.repeat(np.arange(n), np.diff(S.indptr)) - S.indices
+    kl = int(max(offset.max(initial=0), 0))
+    ku = int(max(-offset.min(initial=0), 0))
+    if n * (2 * kl + ku + 1) <= 2 * S.nnz and (kl + ku + 1) ** 2 <= n:
+        return ("band", kl, ku)
+    return ("superlu", "MMD_AT_PLUS_A" if (S != S.T).nnz == 0 else "COLAMD")
 
 
 def make_laplacian_problem(interior_points_per_side: int) -> CareProblem:

@@ -13,10 +13,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from .problems import lu_ordering
+from .ilrsi import sparse_lu
 
 ORIGINS = ("penzl_A", "penzl_H", "adaptive_ritz", "adaptive_stabilized", "user")
 
@@ -160,7 +158,7 @@ def _hamiltonian_ops(problem):
     B = problem.B
     C = problem.C
     n = problem.n
-    lu = splu(A, permc_spec=lu_ordering(A))
+    lu = sparse_lu(A)
     Astar_mv = A.conj().T.tocsr()
 
     def matvec(x):
@@ -217,7 +215,7 @@ def penzl_shifts(problem, m=10, m1=20, m2=10, mode="on_A",
         v0 = problem.B[:, 0].astype(np.result_type(A.dtype, float))
         if np.linalg.norm(v0) == 0:
             v0 = np.ones(n, dtype=v0.dtype)
-        lu = splu(A, permc_spec=lu_ordering(A))
+        lu = sparse_lu(A)
         ritz_op, br1 = _arnoldi_ritz(lambda x: A @ x, v0, min(m1, n))
         ritz_inv, br2 = _arnoldi_ritz(lu.solve, v0, min(m2, n))
         ritz = np.concatenate([ritz_op, 1.0 / ritz_inv[ritz_inv != 0]])

@@ -229,10 +229,10 @@ class TestRealArithmetic:
         assert len(state.shifted.cache) == 4
         for lu in state.shifted.cache.values():
             assert lu.L.dtype == lu.U.dtype == np.float64
-        assert state.shifted.permc_spec == "MMD_AT_PLUS_A"
-        # Toeplitz A has a structurally nonsymmetric band
+        assert state.shifted.factor_path == ("superlu", "MMD_AT_PLUS_A")
+        # Toeplitz A has a band narrow enough for the band path
         toeplitz = ilrsi_init(make_toeplitz_problem(50), 1.0)
-        assert toeplitz.shifted.permc_spec == "COLAMD"
+        assert toeplitz.shifted.factor_path == ("band", 3, 1)
 
     def test_complex_rhs_on_real_factor(self):
         # real data, E != I and shifts [real, pair, real]: after the pair the
