@@ -22,11 +22,23 @@ problem from the sparsity pattern of A and E (``factor_path``): a narrow band
 (a banded Toeplitz matrix) gets a LAPACK band LU (``gbtrf``), anything else
 a SuperLU factor with a fill-reducing column ordering. ``sparse_lu`` makes
 the same choice for the one-off factors of A in ``shifts``.
+
+The factors of a fixed shift list do not depend on each other, so
+``ilrsi_solve`` names the next shift of its list at every step
+(``next_alpha``). When the current shift needs a new factor, the solver
+starts the next shift's factor on a single worker thread and factors the
+current one on the calling thread, so the distinct shifts are factored two
+at a time with the same factors and iterates. A SuperLU factor must be
+freed on the thread that made it (dropped on another thread, its memory is
+never returned), so ``ShiftedSolver.close`` drops the worker's factors on
+the worker before it stops it, and ``ilrsi_solve`` calls it on every exit.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -324,6 +336,14 @@ def sparse_lu(M):
     return splu(sp.csc_matrix(M), permc_spec=path[1])
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask off Linux
+        return os.cpu_count() or 1
+
+
 class ShiftedSolver:
     """Applies (-A* + alpha E*)^{-1}, factoring once per distinct shift; the
     one place where the iterations factor and solve shifted systems.
@@ -341,7 +361,22 @@ class ShiftedSolver:
     (-A* + conj(alpha) E*)^{-1} y = conj((-A* + alpha E*)^{-1} conj(y)).
     Any other shift gets one complex factor. Neither path applies a real
     factor to a complex right-hand side, so such a right-hand side is solved
-    as its real and imaginary parts side by side."""
+    as its real and imaginary parts side by side.
+
+    A caller that knows its next shift passes it as ``next_alpha``. When
+    alpha needs a new factor, the factor of next_alpha is started on a
+    single worker thread while alpha is factored on the calling thread.
+    Nothing is started when next_alpha needs no new factor (it has one, is
+    being factored, or, on real data, its conjugate has or is), equals
+    alpha, or on real data is alpha's conjugate, which alpha's factor
+    serves. The factors made are thus those of the same solves without
+    ``next_alpha``, plus the last next shift if no solve follows. There is
+    no worker on a host with one CPU, and none until a next shift is
+    named. A SuperLU factor must be freed on the thread that made it:
+    dropped on any other thread, its memory is never returned. ``close``
+    drops the worker's factors in a task on the worker and then stops it,
+    and a caller that passes ``next_alpha`` calls it when done. The solver
+    stays usable after ``close``; it refactors what the worker made."""
 
     def __init__(self, problem: CareProblem):
         E = problem.E
@@ -356,6 +391,9 @@ class ShiftedSolver:
             self._band_A = _band(-self.Astar, kl, ku)
             self._band_E = None if E is None else _band(self.Estar, kl, ku)
         self.cache = {}
+        self._pending = {}  # shift -> future of its factor on the worker
+        self._worker = None
+        self._worker_made = []  # cache keys whose factor the worker made
 
     def _factor(self, shift):
         """Factor of -A* + shift E*; shift is a float for a real factor."""
@@ -373,26 +411,73 @@ class ShiftedSolver:
             ab = shift * self._band_E + self._band_A
         return _BandLU(ab, kl, ku)
 
-    def solve(self, alpha, rhs):
+    def _make(self, key):
+        """Factor for the shift key, real when key and the data are."""
+        real = self.dtype.kind != "c" and key.imag == 0
+        try:
+            return self._factor(key.real if real else key)
+        except RuntimeError as exc:
+            raise SolverBreakdown(
+                f"-A* + alpha E* is singular for alpha = {key}", shift=key
+            ) from exc
+
+    def _has(self, key) -> bool:
+        """Whether a solve with the shift key needs no new factor."""
+        keys = (key,) if self.dtype.kind == "c" else (key, key.conjugate())
+        return any(k in self.cache or k in self._pending for k in keys)
+
+    def _lookup(self, key):
+        """The factor of key, waiting for the worker if it is making it;
+        None if there is none."""
+        future = self._pending.pop(key, None)
+        if future is not None:
+            self.cache[key] = future.result()
+            self._worker_made.append(key)
+        return self.cache.get(key)
+
+    def _factor_ahead(self, key, current):
+        """Start the factor of key on the worker, unless the pairing rule
+        (class docstring) skips it."""
+        if self._has(key) or key == current or \
+                (self.dtype.kind != "c" and key == current.conjugate()):
+            return
+        if self._worker is None:
+            if _cpu_count() < 2:
+                return
+            self._worker = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="riccati-si-factor")
+        self._pending[key] = self._worker.submit(self._make, key)
+
+    def close(self):
+        """Drop the factors the worker made, on the worker, and stop it."""
+        if self._worker is None:
+            return
+
+        def release():
+            for key in self._worker_made:
+                self.cache.pop(key, None)
+            # next shifts never solved with: their factors go unused
+            self._pending.clear()
+
+        self._worker.submit(release).result()
+        self._worker.shutdown()
+        self._worker = None
+        self._worker_made = []
+
+    def solve(self, alpha, rhs, next_alpha=None):
         key = complex(alpha)
-        real_data = self.dtype.kind != "c"
-        if real_data and key not in self.cache and \
-                key.conjugate() in self.cache:
-            return self.cache[key.conjugate()].solve(rhs.conj()).conj()
-        real_factor = real_data and key.imag == 0
-        lu = self.cache.get(key)
-        if lu is None:
-            try:
-                lu = self._factor(key.real if real_factor else key)
-            except RuntimeError as exc:
-                raise SolverBreakdown(
-                    f"-A* + alpha E* is singular for alpha = {key}", shift=key
-                ) from exc
-            self.cache[key] = lu
-        if real_factor and np.iscomplexobj(rhs):
-            m = rhs.shape[1]
-            X = lu.solve(np.hstack([rhs.real, rhs.imag]))
-            return X[:, :m] + 1j * X[:, m:]
+        if not self._has(key):
+            if next_alpha is not None:
+                self._factor_ahead(complex(next_alpha), key)
+            self.cache[key] = self._make(key)
+        lu = self._lookup(key)
+        if lu is None:  # real data, and the conjugate's factor serves
+            return self._lookup(key.conjugate()).solve(rhs.conj()).conj()
+        if self.dtype.kind != "c" and key.imag == 0 and \
+                np.iscomplexobj(rhs):
+            re, im = np.hsplit(lu.solve(np.column_stack([rhs.real,
+                                                         rhs.imag])), 2)
+            return (re + 1j * im).reshape(rhs.shape)
         return lu.solve(rhs)
 
 
@@ -425,7 +510,7 @@ class IlrsiState:
             self.shifts_used)
 
 
-def ilrsi_step(state: IlrsiState, alpha) -> IlrsiState:
+def ilrsi_step(state: IlrsiState, alpha, next_alpha=None) -> IlrsiState:
     """Advance the iteration by one shift, in residual-factor form:
 
         v_k   = -2 a_k (-A* + alpha_k E* + K B*)^{-1} R_{k-1}
@@ -435,7 +520,9 @@ def ilrsi_step(state: IlrsiState, alpha) -> IlrsiState:
 
     The closed-loop solve is one cached solve with [R, K] and a q x q
     Woodbury correction. v_k joins the thin QR of V, and Y_k^{-1} the
-    inverse blocks of T.
+    inverse blocks of T. next_alpha, the shift of the next step if known,
+    lets ``state.shifted`` factor it ahead on a worker thread; a caller
+    that passes it calls ``state.shifted.close()`` when done.
     """
     alpha = complex(alpha)
     a = alpha.real
@@ -444,7 +531,8 @@ def ilrsi_step(state: IlrsiState, alpha) -> IlrsiState:
     p = state.problem.p
     Bh = state.problem.B.conj().T
     S = state.shifted.solve(alpha,
-                            np.hstack([state.residual_factor, state.K]))
+                            np.hstack([state.residual_factor, state.K]),
+                            next_alpha)
     SR, SK = S[:, :p], S[:, p:]
     try:
         corr = np.linalg.solve(np.eye(SK.shape[1]) + Bh @ SK, Bh @ SR)
@@ -473,11 +561,13 @@ def ilrsi_step(state: IlrsiState, alpha) -> IlrsiState:
     return state
 
 
-def ilrsi_init(problem: CareProblem, alpha1) -> IlrsiState:
+def ilrsi_init(problem: CareProblem, alpha1, next_alpha=None) -> IlrsiState:
     """First step from R_0 = C*, K_0 = 0: v_1 = -2 a_1 (-A* + alpha_1 E*)^{-1}
     C* and Y_1 = 2 a_1 I + (1 / 2 a_1) (B* v_1)* (B* v_1).
 
-    The state is float64 when A and E are real (B and C always are)."""
+    The state is float64 when A and E are real (B and C always are).
+    next_alpha is as in ``ilrsi_step``; if the first step raises, the
+    solver it made is closed here."""
     n = problem.n
     shifted = ShiftedSolver(problem)
     dtype = shifted.dtype
@@ -490,7 +580,11 @@ def ilrsi_init(problem: CareProblem, alpha1) -> IlrsiState:
         shifts_used=[],
         shifted=shifted,
     )
-    return ilrsi_step(state, alpha1)
+    try:
+        return ilrsi_step(state, alpha1, next_alpha)
+    except BaseException:
+        shifted.close()
+        raise
 
 
 def residual_norm(problem: CareProblem, residual_factor) -> float:
@@ -532,7 +626,9 @@ def ilrsi_solve(problem: CareProblem, shifts, options=None, **kwargs):
     iterate.
 
     Returns (solution, history). A breakdown is re-raised with the partial
-    history attached.
+    history attached. Each step names the next shift of the list, so the
+    shifted solver factors it ahead on a worker thread (``ShiftedSolver``);
+    the worker is stopped on every exit.
     """
     opts = _merge_options(options, kwargs)
     shift_list = [complex(s) for s in shifts]
@@ -560,9 +656,10 @@ def ilrsi_solve(problem: CareProblem, shifts, options=None, **kwargs):
     try:
         for it in range(1, max_iter + 1):
             alpha = shift_list[(it - 1) % len(shift_list)]
+            nxt = shift_list[it % len(shift_list)] if it < max_iter else None
             t0 = time.monotonic()
-            state = ilrsi_init(problem, alpha) if state is None \
-                else ilrsi_step(state, alpha)
+            state = ilrsi_init(problem, alpha, nxt) if state is None \
+                else ilrsi_step(state, alpha, nxt)
             rel = residual_norm(problem, state.residual_factor) / cc_norm
             seconds = (time.monotonic() - t0) if opts["record_timing"] else 0.0
             history.append(it, dim=state.dim, rank=state.basis.rank(rank_tol),
@@ -576,5 +673,8 @@ def ilrsi_solve(problem: CareProblem, shifts, options=None, **kwargs):
         history.status = "breakdown"
         exc.history = history
         raise
+    finally:
+        if state is not None:
+            state.shifted.close()
 
     return state.solution, history
