@@ -40,7 +40,6 @@ from .ilrsi import (
     CSV_HEADER,
     ConvergenceHistory,
     LowRankSolution,
-    ResidualTracker,
     SolverBreakdown,
     ilrsi_init,
     ilrsi_solve,
@@ -65,7 +64,6 @@ __all__ = [
     "ShiftSequence",
     "LowRankSolution",
     "ConvergenceHistory",
-    "ResidualTracker",
     "SolverBreakdown",
     "HamiltonianAnalysis",
     "DistinctShiftBasisData",

@@ -39,11 +39,11 @@ def _dense_parts(problem: CareProblem):
 
     Multiplying the equation by E^{-*} on the left and E^{-1} on the right
     turns the quadruple (A, B, C, E) into the standard-form triple
-    (A E^{-1}, B, C E^{-1}) with the same solution X.
+    (A E^{-1}, B, C E^{-1}) with the same solution X. A complex A or E
+    keeps its imaginary part.
     """
-    A = problem.A.toarray().astype(float)
-    B = np.asarray(problem.B, dtype=float)
-    C = np.asarray(problem.C, dtype=float)
+    A = problem.A.toarray().astype(np.result_type(problem.A.dtype, float))
+    B, C = problem.B, problem.C
     if problem.E is not None:
         Einv = la.inv(problem.E.toarray())
         A = A @ Einv

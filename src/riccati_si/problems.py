@@ -24,13 +24,23 @@ from scipy.io import mmread, mmwrite
 STABILITY_CHECK_LIMIT = 500
 
 
+def _real_array(M, name):
+    """M as a float64 array. The solvers take B and C to be real, so a
+    nonzero imaginary part is an error rather than dropped."""
+    M = np.asarray(M)
+    if np.iscomplexobj(M) and np.any(M.imag):
+        raise ValueError(f"{name} must be real; it has a nonzero "
+                         f"imaginary part")
+    return np.asarray(M.real, dtype=float)
+
+
 @dataclass(frozen=True)
 class CareProblem:
     """Immutable Riccati problem instance.
 
     B holds the factor of the quadratic-term coefficient (F = B B*), C the
-    factor of the constant term (G = C* C). E, when present, must be square
-    and nonsingular.
+    factor of the constant term (G = C* C); both must be real, while A and
+    E may be complex. E, when present, must be square and nonsingular.
     """
 
     A: sp.spmatrix
@@ -42,8 +52,8 @@ class CareProblem:
     def __post_init__(self):
         A = sp.csr_matrix(self.A)
         object.__setattr__(self, "A", A)
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
+        B = np.atleast_2d(_real_array(self.B, "B"))
+        C = np.atleast_2d(_real_array(self.C, "C"))
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
         n = A.shape[0]
@@ -229,8 +239,8 @@ def load_problem(path_A, path_B, path_C, path_E=None) -> CareProblem:
     row or column is rejected as singular.
     """
     A = sp.csr_matrix(_read_matrix(path_A, "A"))
-    B = np.asarray(_read_matrix(path_B, "B"), dtype=float)
-    C = np.asarray(_read_matrix(path_C, "C"), dtype=float)
+    B = _real_array(_read_matrix(path_B, "B"), "B")
+    C = _real_array(_read_matrix(path_C, "C"), "C")
     E = None
     if path_E is not None:
         E = sp.csr_matrix(_read_matrix(path_E, "E"))

@@ -13,7 +13,8 @@ the shifted-solve service the incremental iteration uses
 the first complex pole, real poles get real factors, and the conjugate
 partner of a complex pole reuses its factor. Adaptive poles after the first
 come from the eigenvalues of the projected matrices the loop already holds,
-not from products with the basis, and the residual's QR grows blockwise.
+not from products with the basis. The residual norm comes from its block
+split along U and its complement (``ResidualTracker``).
 
 build_distinct_basis assembles the same space (with the same solves) in its
 distinct-shift normal form V = [(-A*+a_1 I)^{-1}C*, ...] together with the
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problems import CareProblem
-from .dense import care_solve_dense, dense_threshold
+from .dense import care_residual, care_solve_dense, dense_threshold
 from .ilrsi import (
     ConvergenceHistory,
     LowRankSolution,
@@ -40,7 +41,6 @@ from .ilrsi import (
     SolverBreakdown,
     _BasisQR,
     _merge_options,
-    _middle_matrix,
 )
 from .shifts import ShiftSequence, _mirrored_ritz_pole, adaptive_pole
 
@@ -195,12 +195,9 @@ def galerkin_defect(data: DistinctShiftBasisData) -> float:
 
 
 def _dense_residual(problem: CareProblem, X):
-    A = problem.A.toarray().astype(complex)
     if problem.E is not None:
         raise ValueError("dense residual diagnostic assumes E = identity")
-    B, C = problem.B, problem.C
-    return (A.conj().T @ X + X @ A
-            - X @ B @ (B.conj().T @ X) + C.conj().T @ C)
+    return care_residual(problem.A.toarray(), problem.B, problem.C, X)
 
 
 def projected_residual_norm(problem: CareProblem, data: DistinctShiftBasisData) -> float:
@@ -378,7 +375,7 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
         deflated_in_a_row = 0
 
         # U*AU grows by U*(A N), (U*(A* N))* and N*(A N) for the new columns
-        # N; A* N is needed for the residual tracker anyway
+        # N; the residual tracker keeps A* N for the coupling block
         c = new_cols.shape[1]
         AN = problem.A @ new_cols
         AsN = shifted.Astar @ new_cols
@@ -389,7 +386,7 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
         ])
         state.UB = np.vstack([state.UB, new_cols.conj().T @ problem.B])
         state.CU = np.hstack([state.CU, problem.C @ new_cols])
-        tracker.add_step(AsN, new_cols)
+        tracker.add_step(AsN)
 
         try:
             state.Y = care_solve_dense(state.UAU, state.UB, state.CU,
@@ -403,9 +400,8 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
                 shift=key, history=state.history,
             ) from exc
 
-        W = state.UB
-        rel = tracker.weighted_norm(
-            _middle_matrix(state.Y, W @ W.conj().T, p)) / cc_norm
+        rel = tracker.weighted_norm(state.U, state.Y, state.UAU, state.UB,
+                                    state.CU) / cc_norm
         seconds = (time.monotonic() - t0) if opts["record_timing"] else 0.0
         eigs = np.linalg.eigvalsh(0.5 * (state.Y + state.Y.conj().T))
         rank = int(np.count_nonzero(eigs > 1e-12 * max(eigs.max(), 1e-300)))

@@ -14,6 +14,9 @@ from riccati_si import (
     dense_subspace_iteration,
     dense_threshold,
     hamiltonian_matrix,
+    ilrsi_init,
+    ilrsi_solve,
+    ilrsi_step,
     penzl_shifts,
     random_stable_problem,
     spectral_radius_identity_check,
@@ -218,3 +221,40 @@ def test_care_residual_definition():
     R = care_residual(p.A.toarray(), p.B, p.C, X)
     assert np.allclose(R, dense_riccati_residual(p, X))
     assert np.linalg.norm(R) <= 1e-10 * np.linalg.norm(p.C.conj().T @ p.C)
+
+
+def _complex_problem(E=None):
+    # A with an imaginary diagonal; its real part alone solves a different
+    # equation (residual 4.9e-2 against the true A)
+    n = 30
+    rng = np.random.default_rng(0)
+    A = -5.0 * np.eye(n) + 0.2 * rng.standard_normal((n, n)) \
+        + 0.5j * np.diag(rng.standard_normal(n))
+    return CareProblem(A=sp.csr_matrix(A), B=rng.standard_normal((n, 1)),
+                       C=rng.standard_normal((1, n)), E=E)
+
+
+@pytest.mark.parametrize("generalized", [False, True])
+def test_complex_data_keeps_imaginary_part(generalized):
+    E = None
+    if generalized:
+        rng = np.random.default_rng(1)
+        E = sp.csr_matrix(np.eye(30) + 0.05j * rng.standard_normal((30, 30)))
+    p = _complex_problem(E)
+    X = dense_care_solve(p)
+    cc = np.linalg.norm(p.C.conj().T @ p.C)
+    assert np.linalg.norm(dense_riccati_residual(p, X)) <= 1e-12 * cc
+    if not generalized:
+        ref = ilrsi_solve(p, penzl_shifts(p, m=6), tol=1e-12)[0].to_dense()
+        assert np.linalg.norm(ref - X) <= 1e-10 * np.linalg.norm(X)
+
+
+def test_complex_data_dense_iteration_follows_ilrsi():
+    p = _complex_problem()
+    shifts = list(penzl_shifts(p, m=4).values)
+    traj = dense_subspace_iteration(p, shifts)
+    state = None
+    for a in shifts:
+        state = ilrsi_init(p, a) if state is None else ilrsi_step(state, a)
+    X = state.solution.to_dense()
+    assert np.linalg.norm(traj[-1].X - X) <= 1e-10 * np.linalg.norm(X)

@@ -315,6 +315,26 @@ class TestCompressedSolution:
         if case != "pair":
             assert state.solution.dim < state.dim
 
+    @pytest.mark.filterwarnings("ignore:deflated")
+    def test_to_dense_keeps_imaginary_part_between_conjugate_pairs(self):
+        # an iterate that stops between the two members of a conjugate pair
+        # is complex even where Im X is small (6.8e-11 relative for ilrsi
+        # at step 18, 3.3e-11 for rksm at step 14); to_dense() keeps it, so
+        # it describes the same X as apply()
+        p = make_toeplitz_problem(300)
+        runs = [ilrsi_solve(p, penzl_shifts(p, m=8), tol=1e-30, max_iter=k)
+                for k in range(1, 22)]
+        runs += [rksm_solve(p, "adaptive_stabilized", tol=1e-30, max_iter=k)
+                 for k in (13, 14, 15)]
+        for sol, _ in runs:
+            shifts = sol.shifts_used
+            closed = sorted(shifts, key=lambda s: (s.real, s.imag)) == \
+                sorted(np.conj(shifts), key=lambda s: (s.real, s.imag))
+            X = sol.to_dense()
+            VV = sol.V @ sol.V.conj().T
+            assert np.isrealobj(X) == closed
+            assert np.linalg.norm(X - VV) <= 1e-14 * np.linalg.norm(VV)
+
 
 class TestSolverLoop:
     def test_laplacian_convergence_and_csv(self):

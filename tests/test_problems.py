@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.io import mmwrite
 
 from riccati_si import (
     CareProblem,
@@ -141,4 +142,26 @@ def test_load_singular_E_rejected(tmp_path):
     mmwrite(paths[2], p.C)
     mmwrite(paths[3], sp.coo_matrix(Ebad))
     with pytest.raises(ValueError, match="zero row or column"):
+        load_problem(*paths)
+
+
+@pytest.mark.parametrize("name", ["B", "C"])
+def test_complex_factor_rejected(name):
+    # the solvers take B and C real; an imaginary part is not dropped
+    parts = {"B": np.ones((3, 1)), "C": np.ones((1, 3))}
+    parts[name] = parts[name] + 0.5j
+    with pytest.raises(ValueError, match=f"{name} must be real"):
+        CareProblem(A=sp.csr_matrix(-np.eye(3)), **parts)
+    # a complex dtype with a zero imaginary part is accepted as real
+    parts[name] = parts[name].real + 0j
+    p = CareProblem(A=sp.csr_matrix(-np.eye(3)), **parts)
+    assert p.B.dtype == p.C.dtype == np.float64
+
+
+def test_load_complex_factor_rejected(tmp_path):
+    p = random_stable_problem(6, 1, 1, seed=2)
+    paths = [str(tmp_path / f"{x}.mtx") for x in "abc"]
+    save_problem(p, *paths)
+    mmwrite(paths[1], p.B + 1j)
+    with pytest.raises(ValueError, match="B must be real"):
         load_problem(*paths)

@@ -20,6 +20,7 @@ from riccati_si import (
     ilrsi_init,
     ilrsi_step,
     make_laplacian_problem,
+    make_toeplitz_problem,
     mirrored_ritz_fixed_point,
     penzl_shifts,
     projected_residual_norm,
@@ -154,16 +155,30 @@ class TestSolver:
         assert plain.records[-1].rel_residual <= 1e-8
 
     @pytest.mark.filterwarnings("ignore:deflated")
-    @pytest.mark.parametrize("p, q", [(1, 1), (2, 3)])
-    def test_rel_residual_matches_dense_assembly(self, p, q):
-        # the QR sandwich behind rel_residual against the dense residual at
-        # the returned iterate, at every step (a run stopped after k steps
-        # returns the k-th iterate)
-        prob = passive_problem(40, p, q, seed=5)
-        shifts = penzl_shifts(prob, m=8)
+    @pytest.mark.filterwarnings("ignore:rational Krylov space saturated")
+    @pytest.mark.parametrize("make, poles", [
+        pytest.param(lambda: passive_problem(40, 1, 1, seed=5),
+                     lambda prob: penzl_shifts(prob, m=8), id="1-1"),
+        pytest.param(lambda: passive_problem(40, 2, 3, seed=5),
+                     lambda prob: penzl_shifts(prob, m=8), id="2-3"),
+        # 11 directions deflate and the space saturates at dim 13
+        pytest.param(lambda: make_laplacian_problem(6),
+                     lambda prob: penzl_shifts(prob, m=5),
+                     id="laplacian6-penzl5"),
+        # complex poles: some iterates stop between a conjugate pair
+        pytest.param(lambda: make_toeplitz_problem(300),
+                     lambda prob: "adaptive_stabilized",
+                     id="toeplitz300-stabilized"),
+    ])
+    def test_rel_residual_matches_dense_assembly(self, make, poles):
+        # the block-split residual behind rel_residual against the dense
+        # residual at the returned iterate, at every step (a run stopped
+        # after k steps returns the k-th iterate)
+        prob = make()
+        strategy = poles(prob)
         cc = np.linalg.norm(prob.C @ prob.C.conj().T)
         for k in range(1, 16):
-            sol, hist = rksm_solve(prob, shifts, tol=1e-30, max_iter=k)
+            sol, hist = rksm_solve(prob, strategy, tol=1e-30, max_iter=k)
             ref = np.linalg.norm(dense_riccati_residual(prob, sol.to_dense()))
             assert abs(hist.records[-1].rel_residual - ref / cc) <= 1e-12
 
