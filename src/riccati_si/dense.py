@@ -75,20 +75,37 @@ def care_residual(A, B, C, X) -> np.ndarray:
     return A.conj().T @ X + X @ A - X @ F @ X + G
 
 
+def _schur_eigvals(T) -> np.ndarray:
+    """Eigenvalues of a Schur form T: its diagonal, except that each 2 x 2
+    block of a real quasi-triangular T gives its complex pair."""
+    lam = np.diag(T).astype(complex)
+    if np.iscomplexobj(T):
+        return lam
+    i = np.flatnonzero(np.diag(T, -1))
+    mid = 0.5 * (T[i, i] + T[i + 1, i + 1])
+    root = np.sqrt((0.5 * (T[i, i] - T[i + 1, i + 1])) ** 2
+                   + T[i, i + 1] * T[i + 1, i] + 0j)
+    lam[i], lam[i + 1] = mid + root, mid - root
+    return lam
+
+
 def care_solve_dense(A, B, C, check_tol=1e-10) -> np.ndarray:
     """Stabilizing solution of A*X + XA - X BB* X + C*C = 0.
 
     Computes the ordered Schur form of the Hamiltonian with the stable
-    eigenvalues leading and reads off X = Q21 Q11^{-1}. The result is checked
+    eigenvalues leading and reads off X = Q21 Q11^{-1}. Real inputs get the
+    real Schur form, whose 2 x 2 blocks hold the complex pairs, and a real
+    X; complex inputs get the complex Schur form. The result is checked
     to be stabilizing (A - BB*X stable) and to satisfy the equation to
     check_tol relative to ||C*C||_F.
     """
-    inputs_real = np.isrealobj(A) and np.isrealobj(B) and np.isrealobj(C)
-    A = np.asarray(A, dtype=complex)
+    real = np.isrealobj(A) and np.isrealobj(B) and np.isrealobj(C)
+    A = np.asarray(A, dtype=float if real else complex)
     n = A.shape[0]
     H = hamiltonian_matrix(A, B, C)
-    T, Z, sdim = la.schur(H, output="complex", sort="lhp")
-    eigs = np.diag(T)
+    T, Z, sdim = la.schur(H, output="real" if real else "complex",
+                          sort="lhp")
+    eigs = _schur_eigvals(T)
     gap = np.abs(eigs.real) / np.maximum(1.0, np.abs(eigs))
     if gap.min() <= 1e-10:
         raise ValueError(
@@ -106,8 +123,6 @@ def care_solve_dense(A, B, C, check_tol=1e-10) -> np.ndarray:
     except la.LinAlgError as exc:
         raise ValueError("leading Schur block Q11 is singular") from exc
     X = _hermitize(X)
-    if inputs_real and np.linalg.norm(X.imag) <= 1e-10 * max(1.0, np.linalg.norm(X)):
-        X = np.ascontiguousarray(X.real)
     F = B @ B.conj().T
     closed = np.asarray(A) - F @ X
     if np.linalg.eigvals(closed).real.max() >= 0.0:

@@ -2,19 +2,24 @@
 incremental subspace iteration.
 
 rksm_solve projects the Riccati equation onto a rational Krylov space built
-one resolvent solve per pole and solves the small projected equation densely
-each iteration. The orthonormal basis U grows through the blockwise thin QR
+one resolvent solve per step and solves the small projected equation densely
+each step. The orthonormal basis U grows through the blockwise thin QR
 ilrsi uses (``_BasisQR``): each resolvent block is added with one
 ``_BasisQR.add``, and a direction is dropped (deflated) when
 orthogonalization leaves at most 1e-10 of that column's own norm, so the
 decision does not depend on the scale of C. The resolvent solves go through
 the shifted-solve service the incremental iteration uses
-(``ShiftedSolver``): on real data the state stays in real arithmetic until
-the first complex pole, real poles get real factors, and the conjugate
-partner of a complex pole reuses its factor. Adaptive poles after the first
-come from the eigenvalues of the projected matrices the loop already holds,
-not from products with the basis. The residual norm comes from its block
-split along U and its complement (``ResidualTracker``).
+(``ShiftedSolver``). On real data the whole run stays in real arithmetic:
+a real pole gets a real factor, and a complex pole is taken with its
+conjugate in one step, as in the real ADI step for a conjugate shift pair.
+The conjugate pole's block is the conjugate of the pole's block v, so one
+complex solve gives both, and [Re v, Im v] spans them. U, the projected
+matrices and the projected equations are then real, and ``care_solve_dense``
+solves those through the real Schur form. Complex data takes one pole per
+step. Adaptive poles after the first come from the eigenvalues of the
+projected matrices the loop already holds, not from products with the
+basis. The residual norm comes from its block split along U and its
+complement (``ResidualTracker``).
 
 build_distinct_basis assembles the same space (with the same solves) in its
 distinct-shift normal form V = [(-A*+a_1 I)^{-1}C*, ...] together with the
@@ -239,9 +244,14 @@ def residual_rank_diagnostic(problem: CareProblem, data: DistinctShiftBasisData)
 # ---------------------------------------------------------------------------
 # the solver
 
-def _next_pole(problem, state, strategy, pending, it):
-    """Pick the pole for the next expansion; complex poles enqueue their
-    conjugate partner so the space stays conjugation-closed.
+def _next_pole(problem, state, strategy, pending, used):
+    """Pick the pole for the next expansion; ``used`` counts the poles
+    taken so far and indexes a pole list, which is cycled.
+
+    On real data a complex pole stands for its conjugate pair, which the
+    caller takes in the same step, so nothing is queued. On complex data
+    a complex adaptive pole enqueues its conjugate partner in ``pending``
+    so the space stays conjugation-closed.
 
     Adaptive poles on a nonempty space come from the eigenvalues of the
     projected matrices already held: U*AU (plain) or U*(A - BB*X)U =
@@ -252,7 +262,7 @@ def _next_pole(problem, state, strategy, pending, it):
     if isinstance(strategy, (ShiftSequence, list, tuple, np.ndarray)):
         vals = strategy.values if isinstance(strategy, ShiftSequence) else \
             [complex(s) for s in strategy]
-        return complex(vals[it % len(vals)])
+        return complex(vals[used % len(vals)])
     if pending:
         return pending.pop(0)
     mode = "stabilized" if strategy == "adaptive_stabilized" else "plain"
@@ -265,15 +275,34 @@ def _next_pole(problem, state, strategy, pending, it):
             small = small - state.UB @ (state.UB.conj().T @ state.Y)
         pole = _mirrored_ritz_pole(np.linalg.eigvals(small), state.poles)
     if abs(pole.imag) > 1e-12 * max(1.0, abs(pole)):
-        if pole.imag < 0 and problem.A.dtype.kind != "c":
-            pole = np.conj(pole)
+        if problem.A.dtype.kind != "c":
+            return np.conj(pole) if pole.imag < 0 else pole
         pending.append(np.conj(pole))
     return pole
 
 
+def _check_pairs(poles):
+    """On real data, a complex pole in a list must sit right before or
+    after its conjugate, so that the loop takes the two in one step."""
+    vals = [complex(s) for s in poles]
+    i = 0
+    while i < len(vals):
+        v = vals[i]
+        if v.imag != 0:
+            if i + 1 == len(vals) or \
+                    abs(vals[i + 1] - v.conjugate()) > 1e-10 * (1.0 + abs(v)):
+                raise ValueError(
+                    f"complex pole {v} at position {i} is not next to its "
+                    "conjugate; on real data a pole list must hold each "
+                    "conjugate pair in adjacent entries"
+                )
+            i += 1
+        i += 1
+
+
 def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
-    """Expand the rational Krylov space one resolvent solve per iteration,
-    solve the projected equation densely, and stop when the true relative
+    """Expand the rational Krylov space one resolvent solve per step, solve
+    the projected equation densely, and stop when the true relative
     residual drops below tol.
 
     pole_strategy is either a precomputed shift sequence (cycled) or one of
@@ -281,9 +310,18 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
     (solution, history); the solution X = U Y U*, for the orthonormal
     basis U and the projected solution Y, comes in the factored form
     X = V V* (``LowRankSolution.from_basis``).
+
+    On real data a step takes a complex pole together with its conjugate:
+    one resolvent solve gives v, the basis grows by [Re v, Im v], and both
+    poles are logged, positive imaginary part first. A pole list must then
+    hold each complex pole right before or after its conjugate (ValueError
+    otherwise). max_iter counts poles, a pair as two; a pair is never
+    split, so a run can end with max_iter + 1 poles. The history has one
+    record per step, whose iteration is the number of poles used so far.
     """
     if problem.E is not None:
         raise ValueError("rational Krylov solver supports E = identity only")
+    real_data = problem.A.dtype.kind != "c"
     if isinstance(pole_strategy, str):
         aliases = {
             "adaptive_plain": "adaptive_plain", "plain": "adaptive_plain",
@@ -293,11 +331,15 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
         if pole_strategy not in aliases:
             raise ValueError(f"unknown pole strategy {pole_strategy!r}")
         strategy = aliases[pole_strategy]
+        saturation_limit = 3
     else:
         strategy = pole_strategy
         seq = strategy.values if isinstance(strategy, ShiftSequence) else list(strategy)
         if not len(seq):
             raise ValueError("pole sequence must be nonempty")
+        if real_data:
+            _check_pairs(seq)
+        saturation_limit = len(seq) + 1
 
     opts = _merge_options(options, kwargs)
     tol = float(opts["tol"])
@@ -325,17 +367,13 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
     # same rational Krylov space as a nested construction but keeps far-apart
     # poles from collapsing each other's continuation vectors
     chains = {}
+    # poles used so far, and poles in a row whose directions all deflated
+    used = 0
     deflated_in_a_row = 0
-    if isinstance(strategy, str):
-        saturation_limit = 3
-    else:
-        seq_len = len(strategy.values if isinstance(strategy, ShiftSequence)
-                      else strategy)
-        saturation_limit = seq_len + 1
 
-    for it in range(1, max_iter + 1):
+    while used < max_iter:
         t0 = time.monotonic()
-        pole = _next_pole(problem, state, strategy, pending, it - 1)
+        pole = _next_pole(problem, state, strategy, pending, used)
         key = complex(pole)
         try:
             raw = shifted.solve(key, chains.get(key, Cstar))
@@ -349,18 +387,29 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
             exc.history = state.history
             raise
         chains[key] = raw / max(np.linalg.norm(raw), 1e-300)
+        if real_data and key.imag != 0:
+            # the conjugate pole's resolvent block is conj(raw), so
+            # [Re raw, Im raw] spans both blocks in real arithmetic
+            chains[key.conjugate()] = chains[key].conj()
+            raw = np.hstack([raw.real, raw.imag])
+            step_poles = sorted((key, key.conjugate()), key=lambda s: -s.imag)
+        else:
+            step_poles = [key]
 
         U = state.U
         state.basis.add(raw)
         new_cols = state.U[:, U.shape[1]:]
-        if new_cols.shape[1] < p:
+        if new_cols.shape[1] < raw.shape[1]:
             warnings.warn(
-                f"deflated {p - new_cols.shape[1]} dependent direction(s) "
-                f"at pole {key}", stacklevel=2,
+                f"deflated {raw.shape[1] - new_cols.shape[1]} dependent "
+                f"direction(s) at pole {step_poles[0]}"
+                + (" and its conjugate" if len(step_poles) == 2 else ""),
+                stacklevel=2,
             )
-        state.poles.append(key)
+        state.poles.extend(step_poles)
+        used += len(step_poles)
         if new_cols.shape[1] == 0:
-            deflated_in_a_row += 1
+            deflated_in_a_row += len(step_poles)
             if deflated_in_a_row >= saturation_limit:
                 # the space stopped growing; the current Galerkin iterate is
                 # still valid, so report the stall instead of raising
@@ -405,7 +454,7 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
         seconds = (time.monotonic() - t0) if opts["record_timing"] else 0.0
         eigs = np.linalg.eigvalsh(0.5 * (state.Y + state.Y.conj().T))
         rank = int(np.count_nonzero(eigs > 1e-12 * max(eigs.max(), 1e-300)))
-        state.history.append(it, dim=state.U.shape[1], rank=rank,
+        state.history.append(used, dim=state.U.shape[1], rank=rank,
                              rel_residual=rel, seconds=seconds)
         if rel <= tol:
             state.history.status = "converged"

@@ -17,6 +17,7 @@ from riccati_si import (
     ilrsi_init,
     ilrsi_solve,
     ilrsi_step,
+    make_toeplitz_problem,
     penzl_shifts,
     random_stable_problem,
     spectral_radius_identity_check,
@@ -258,3 +259,34 @@ def test_complex_data_dense_iteration_follows_ilrsi():
         state = ilrsi_init(p, a) if state is None else ilrsi_step(state, a)
     X = state.solution.to_dense()
     assert np.linalg.norm(traj[-1].X - X) <= 1e-10 * np.linalg.norm(X)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_toeplitz_problem(60),
+    lambda: random_stable_problem(20, 2, 2, seed=3),
+])
+def test_real_schur_path_matches_complex_path(make):
+    # real inputs take the real Schur form; a complex dtype takes the
+    # complex one, and both must give the same X
+    p = make()
+    A = p.A.toarray()
+    assert np.any(np.abs(la.eigvals(hamiltonian_matrix(A, p.B, p.C)).imag)
+                  > 1e-3)
+    X = care_solve_dense(A, p.B, p.C)
+    Xc = care_solve_dense(A.astype(complex), p.B, p.C)
+    assert X.dtype == np.float64
+    assert Xc.dtype == np.complex128
+    assert np.linalg.norm(X - Xc) <= 1e-12 * np.linalg.norm(Xc)
+
+
+def test_real_schur_path_reads_pair_blocks():
+    # Hamiltonian eigenvalues +-eps +- i omega: their real parts, on the
+    # diagonal of the real Schur form's 2 x 2 blocks, are 1e-3, but the
+    # eigenvalues are 1e-11 of their modulus from the imaginary axis
+    eps, omega = 1e-3, 1e8
+    A = np.array([[-eps, omega], [-omega, -eps]])
+    B = np.zeros((2, 1))
+    C = np.array([[1.0, 0.0]])
+    for dtype in (float, complex):
+        with pytest.raises(ValueError, match="imaginary axis"):
+            care_solve_dense(A.astype(dtype), B, C)

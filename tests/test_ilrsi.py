@@ -319,8 +319,9 @@ class TestCompressedSolution:
     def test_to_dense_keeps_imaginary_part_between_conjugate_pairs(self):
         # an iterate that stops between the two members of a conjugate pair
         # is complex even where Im X is small (6.8e-11 relative for ilrsi
-        # at step 18, 3.3e-11 for rksm at step 14); to_dense() keeps it, so
-        # it describes the same X as apply()
+        # at step 18); to_dense() keeps it, so it describes the same X as
+        # apply(). rksm takes a pair in one step on real data, so its
+        # iterates are closed under conjugation and real.
         p = make_toeplitz_problem(300)
         runs = [ilrsi_solve(p, penzl_shifts(p, m=8), tol=1e-30, max_iter=k)
                 for k in range(1, 22)]
