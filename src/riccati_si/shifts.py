@@ -313,39 +313,36 @@ def projected_ritz(basis, problem, current_solution=None, mode="plain"):
 
 
 def _hull_candidates(mu):
-    """Candidate points for the pole search: interior grid points between
-    consecutive mirrored Ritz values when they are all real, otherwise a
-    discretization of the boundary of their conjugation-closed convex hull."""
-    mu = list(mu)
-    all_real = all(abs(z.imag) <= 1e-8 * (1.0 + abs(z)) for z in mu)
-    cands = []
-    if all_real:
-        xs = sorted(z.real for z in mu)
-        for lo, hi in zip(xs[:-1], xs[1:]):
-            if hi - lo > 1e-14 * (1.0 + abs(hi)):
-                cands.extend(complex(x) for x in np.linspace(lo, hi, 34)[1:-1])
-        return cands
-    pts = mu + [np.conj(z) for z in mu]
-    coords = np.array([[z.real, z.imag] for z in _dedupe(pts)])
+    """Candidate points for the pole search, as a complex array: interior
+    grid points between consecutive mirrored Ritz values mu when they are
+    all real, otherwise a discretization of the boundary of their
+    conjugation-closed convex hull. mu is as ``_dedupe`` leaves it."""
+    mu = np.asarray(mu, dtype=complex)
+    if np.all(np.abs(mu.imag) <= 1e-8 * (1.0 + np.hypot(mu.real, mu.imag))):
+        xs = np.sort(mu.real)
+        lo, hi = xs[:-1], xs[1:]
+        gap = hi - lo > 1e-14 * (1.0 + np.abs(hi))
+        grid = np.linspace(lo[gap], hi[gap], 34, axis=1)[:, 1:-1]
+        return grid.ravel().astype(complex)
+    # the points of mu lie apart from each other (``_dedupe``), so their
+    # conjugates do too: the hull's points are mu and the conjugates that
+    # lie apart from all of mu, as _dedupe of both would leave them
+    gap = mu.conj()[:, None] - mu
+    apart = np.all(np.hypot(gap.real, gap.imag)
+                   > 1e-8 * (1.0 + np.hypot(mu.real, mu.imag))[:, None],
+                   axis=1)
+    pts = np.concatenate([mu, mu.conj()[apart]])
     try:
-        from scipy.spatial import ConvexHull, QhullError
-        hull = ConvexHull(coords)
-        for a, b in hull.simplices:
-            za = complex(*coords[a])
-            zb = complex(*coords[b])
-            for t in np.linspace(0.0, 1.0, 18)[1:-1]:
-                cands.append(za + t * (zb - za))
-        return cands
+        from scipy.spatial import ConvexHull
+        ends = ConvexHull(np.column_stack([pts.real, pts.imag])).simplices.T
+        t = np.linspace(0.0, 1.0, 18)[1:-1]
     except Exception:
         # degenerate geometry (collinear points etc): fall back to segments
         # between every pair
-        for i in range(len(coords)):
-            for j in range(i + 1, len(coords)):
-                za = complex(*coords[i])
-                zb = complex(*coords[j])
-                for t in np.linspace(0.0, 1.0, 10)[1:-1]:
-                    cands.append(za + t * (zb - za))
-        return cands
+        ends = np.triu_indices(len(pts), 1)
+        t = np.linspace(0.0, 1.0, 10)[1:-1]
+    za, zb = pts[ends[0]], pts[ends[1]]
+    return (za[:, None] + t * (zb - za)[:, None]).ravel()
 
 
 def adaptive_pole(basis_so_far, problem, current_solution=None,
@@ -384,22 +381,41 @@ def _mirrored_ritz_pole(theta, existing_poles=()) -> complex:
     mu = _dedupe(_realify_scalar(-np.conj(z)) for z in stable)
     if len(mu) == 1:
         return _realify_scalar(mu[0])
+    mu = np.array(mu)
     cands = _hull_candidates(mu)
-    cands = [c for c in cands
-             if min(abs(c - z) for z in mu) > 1e-12 * (1.0 + abs(c))]
-    if not cands:
+    # |c - z| as Python's abs of a complex computes it (libm hypot), which
+    # numpy's abs of a complex array does not always match to the last bit
+    gap = cands[:, None] - mu
+    near = np.hypot(gap.real, gap.imag).min(axis=1)
+    cands = cands[near > 1e-12 * (1.0 + np.hypot(cands.real, cands.imag))]
+    if not cands.size:
         return _realify_scalar(mu[0])
-    poles = [complex(s) for s in existing_poles]
-    if poles:
-        def score(s):
-            num = 1.0
-            for a in poles:
-                num *= abs(s - a)
-            den = 1.0
-            for z in mu:
-                den *= abs(s - z)
-            return num / den
-        winner = max(cands, key=score)
-    else:
-        winner = min(cands, key=lambda c: rational_objective([c], mu))
-    return _realify_scalar(winner)
+    if len(existing_poles):
+        # the products are formed factor by factor in the order of the
+        # poles and then of the Ritz values, as a scalar loop would
+        num = np.ones(cands.size)
+        for a in existing_poles:
+            d = cands - complex(a)
+            num *= np.hypot(d.real, d.imag)
+        den = np.ones(cands.size)
+        for z in mu:
+            d = cands - z
+            den *= np.hypot(d.real, d.imag)
+        return _realify_scalar(cands[_first_max(num / den)])
+    # rational_objective([c], mu) of every candidate c, to be minimized
+    denom = np.abs(mu + cands[:, None])
+    if np.any(denom <= 1e-13 * (1.0 + np.abs(mu)
+                                + np.hypot(cands.real, cands.imag)[:, None])):
+        raise ValueError("a pole candidate coincides with the pole of a "
+                         "mirrored Ritz value")
+    ratio = np.abs(mu - cands.conj()[:, None]) / denom
+    return _realify_scalar(cands[_first_max(-ratio.max(axis=1))])
+
+
+def _first_max(score):
+    """The index ``max(range(len(score)), key=score.__getitem__)`` picks:
+    the first largest entry, where a NaN is passed over unless it comes
+    first."""
+    if np.isnan(score[0]):
+        return 0
+    return int(np.argmax(np.where(np.isnan(score), -np.inf, score)))

@@ -127,3 +127,90 @@ def lrsi_reference_step(U_prev, T_prev, problem: CareProblem, alpha):
     T += 2.0 * a * (wB.conj().T @ wB)
     T = 0.5 * (T + T.conj().T)
     return U, T
+
+
+def _realified(z):
+    """z, with an imaginary part below 1e-10 (1 + |Re z|) dropped."""
+    z = complex(z)
+    return complex(z.real, 0.0) if abs(z.imag) <= 1e-10 * (1.0 + abs(z.real)) \
+        else z
+
+
+def _distinct(points, tol=1e-8):
+    """The points in order, less each one within tol (1 + |z|) of one kept
+    before it."""
+    kept = []
+    for z in points:
+        if all(abs(z - w) > tol * (1.0 + abs(z)) for w in kept):
+            kept.append(z)
+    return kept
+
+
+def _reference_candidates(mu):
+    """Grid points between consecutive real mirrored Ritz values, or points
+    on the boundary of the conjugation-closed convex hull of complex ones
+    (on the segments between every pair when the hull is degenerate)."""
+    if all(abs(z.imag) <= 1e-8 * (1.0 + abs(z)) for z in mu):
+        xs = sorted(z.real for z in mu)
+        return [complex(x) for lo, hi in zip(xs[:-1], xs[1:])
+                if hi - lo > 1e-14 * (1.0 + abs(hi))
+                for x in np.linspace(lo, hi, 34)[1:-1]]
+    pts = _distinct(mu + [np.conj(z) for z in mu])
+    coords = np.array([[z.real, z.imag] for z in pts])
+    try:
+        from scipy.spatial import ConvexHull
+        segments = [tuple(s) for s in ConvexHull(coords).simplices]
+        ts = np.linspace(0.0, 1.0, 18)[1:-1]
+    except Exception:
+        segments = [(i, j) for i in range(len(pts))
+                    for j in range(i + 1, len(pts))]
+        ts = np.linspace(0.0, 1.0, 10)[1:-1]
+    cands = []
+    for a, b in segments:
+        za, zb = complex(*coords[a]), complex(*coords[b])
+        cands.extend(za + t * (zb - za) for t in ts)
+    return cands
+
+
+def reference_pole_scores(theta, existing_poles=()):
+    """The mirrored stable Ritz values mu (duplicates dropped) and the
+    candidates of the adaptive pole search with their scores, computed one
+    candidate at a time in scalar arithmetic: [(s, score)], where score is
+    prod |s - alpha_i| / prod |s - mu_j| over the previous poles alpha_i,
+    or with none, minus max_j |mu_j - conj(s)| / |mu_j + s|."""
+    stable = [z for z in np.asarray(theta) if z.real < 0]
+    mu = _distinct(_realified(-np.conj(z)) for z in stable)
+    if len(mu) < 2:
+        return mu, []
+    cands = [c for c in _reference_candidates(mu)
+             if min(abs(c - z) for z in mu) > 1e-12 * (1.0 + abs(c))]
+    poles = [complex(s) for s in existing_poles]
+    if poles:
+        def score(s):
+            num = 1.0
+            for a in poles:
+                num *= abs(s - a)
+            den = 1.0
+            for z in mu:
+                den *= abs(s - z)
+            return num / den
+    else:
+        lam = np.array(mu)
+
+        def score(s):
+            return -float((np.ones(lam.shape) * (np.abs(lam - np.conj(s))
+                                                 / np.abs(lam + s))).max())
+    return mu, [(c, score(c)) for c in cands]
+
+
+def reference_mirrored_ritz_pole(theta, existing_poles=()):
+    """The adaptive pole from the Ritz values theta: the first candidate of
+    largest score (``reference_pole_scores``), or the first mirrored Ritz
+    value when there is a single one or no candidate. None when no Ritz
+    value is stable."""
+    mu, scored = reference_pole_scores(theta, existing_poles)
+    if not mu:
+        return None
+    if not scored:
+        return mu[0]
+    return _realified(max(scored, key=lambda cs: cs[1])[0])

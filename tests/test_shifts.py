@@ -14,10 +14,18 @@ from riccati_si import (
     rational_objective,
 )
 from riccati_si.problems import CareProblem
-from riccati_si.shifts import _arnoldi_ritz
+from riccati_si.shifts import (
+    _arnoldi_ritz,
+    _hull_candidates,
+    _mirrored_ritz_pole,
+)
 import scipy.sparse as sp
 
-from oracles import brute_force_objective
+from oracles import (
+    brute_force_objective,
+    reference_mirrored_ritz_pole,
+    reference_pole_scores,
+)
 
 
 class TestShiftSequence:
@@ -233,3 +241,93 @@ class TestAdaptivePole:
         pole = adaptive_pole(basis, p, existing_poles=used)
         assert min(abs(pole - u) for u in used) > 1e-8
         assert pole.real > 0
+
+
+def _bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _real_matrix_ritz(seed, n):
+    """Eigenvalues of a seeded real matrix, mostly stable: conjugate pairs
+    and real values, as the projected matrices of real data give them."""
+    rng = np.random.default_rng(seed)
+    return np.linalg.eigvals(-3.0 * np.eye(n) + rng.standard_normal((n, n)))
+
+
+_RNG = np.random.default_rng(1)
+_REAL = -_RNG.uniform(0.1, 10.0, 12)
+_REAL_POLES = tuple(_RNG.uniform(0.1, 10.0, 5))
+# mirrored, these lie on the line Re s = 2, so the hull is degenerate
+_COLLINEAR = -2.0 + 1j * np.array([0.5, -0.5, 1.5, -1.5, 3.0, -3.0])
+
+
+class TestScoringMatchesReference:
+    """The array scoring of the adaptive pole search against the scalar
+    reference scorer in ``oracles``: the poles must agree to the bit,
+    because adaptive poles amplify a rounding difference from one pole to
+    the next."""
+
+    @pytest.mark.parametrize("theta, poles", [
+        pytest.param(_REAL, _REAL_POLES, id="all-real-grid"),
+        pytest.param(_real_matrix_ritz(2, 10), (1.0, 2.0 + 0.5j, 2.0 - 0.5j,
+                                                4.0), id="complex-hull"),
+        pytest.param(_COLLINEAR, (1.0, 3.0), id="collinear-fallback"),
+        pytest.param(np.array([-3.0, 2.0, -3.0 + 1e-12j]), (1.0,),
+                     id="single-mu"),
+        pytest.param(_REAL, (), id="no-previous-pole-real"),
+        pytest.param(_real_matrix_ritz(2, 10), (),
+                     id="no-previous-pole-complex"),
+        pytest.param(_COLLINEAR, (), id="no-previous-pole-collinear"),
+    ])
+    def test_bitwise_equal(self, theta, poles):
+        ref = reference_mirrored_ritz_pole(theta, poles)
+        assert _bits(_mirrored_ritz_pole(theta, poles)) == _bits(ref)
+
+    def test_collinear_takes_fallback(self):
+        # segments between all 15 pairs of the 6 points, 8 points each
+        assert len(_hull_candidates(-np.conj(_COLLINEAR))) == 8 * 15
+
+    def test_single_mu(self):
+        assert _mirrored_ritz_pole(np.array([-3.0, 2.0, -3.0 + 1e-12j]),
+                                   (1.0,)) == 3.0
+
+    def test_exact_score_tie(self):
+        # a candidate and its conjugate score exactly the same here, and
+        # the first of the two in candidate order wins
+        rng = np.random.default_rng(7)
+        theta = np.linalg.eigvals(-3.0 * np.eye(6)
+                                  + rng.standard_normal((6, 6)))
+        poles = tuple(np.abs(rng.standard_normal(3)) + 0.1)
+        _, scored = reference_pole_scores(theta, poles)
+        top = max(score for _, score in scored)
+        tied = [c for c, score in scored if score == top]
+        assert len(tied) == 2 and tied[0] == np.conj(tied[1])
+        pole = _mirrored_ritz_pole(theta, poles)
+        assert _bits(pole) == _bits(tied[0])
+
+    def test_near_tie(self):
+        # the best candidate and its conjugate score within rounding of each
+        # other: an abs other than Python's (libm hypot) in either product
+        # can flip which member wins
+        rng = np.random.default_rng(397)
+        k = int(rng.integers(2, 12))
+        theta = np.linalg.eigvals(-3.0 * np.eye(k)
+                                  + rng.standard_normal((k, k)))
+        poles = tuple(np.abs(rng.standard_normal(int(rng.integers(1, 6))))
+                      + 0.1)
+        ref = reference_mirrored_ritz_pole(theta, poles)
+        assert ref.imag != 0
+        assert _bits(_mirrored_ritz_pole(theta, poles)) == _bits(ref)
+
+    def test_seeded_ritz_sets(self):
+        rng = np.random.default_rng(3)
+        for trial in range(300):
+            k = int(rng.integers(2, 30))
+            theta = _real_matrix_ritz(trial, k) if trial % 2 else \
+                -np.abs(rng.standard_normal(k)) \
+                + 1j * rng.standard_normal(k) * rng.choice([0.0, 1e-9, 1.0])
+            poles = tuple(np.abs(rng.standard_normal(trial % 7)) + 0.1)
+            ref = reference_mirrored_ritz_pole(theta, poles)
+            if ref is not None:
+                assert _bits(_mirrored_ritz_pole(theta, poles)) == _bits(ref)
