@@ -18,9 +18,10 @@ state starts as float64 and only a complex shift promotes it. The shifted
 systems are factored and solved by ``ShiftedSolver``, which both iterations
 use: it factors each real shift in real arithmetic and applies the factor of
 a complex shift also to its conjugate. How it factors is chosen once per
-problem from the sparsity pattern of A and E (``factor_path``): a narrow band
-(a banded Toeplitz matrix) gets a LAPACK band LU (``gbtrf``), anything else
-a SuperLU factor with a fill-reducing column ordering. ``sparse_lu`` makes
+problem from the sparsity pattern of A and E (``factor_path``): a band that
+is dense (a banded Toeplitz matrix, or a triangular one) gets a LAPACK band
+LU (``gbtrf``), anything else a SuperLU factor with a fill-reducing column
+ordering. ``sparse_lu`` makes
 the same choice for the one-off factors of A in ``shifts``.
 
 The factors of a fixed shift list do not depend on each other, so
@@ -330,7 +331,7 @@ class ShiftedSolver:
     It holds A* and E* in the dtype of the data (float64 when A and E are
     real; B and C always are), the factor path chosen from their sparsity
     pattern (``factor_path``) and the factor cache. ``factor_path`` is
-    ``("band", kl, ku)`` when A* (with E*) has a narrow band: the band of
+    ``("band", kl, ku)`` when the band of A* (with E*) is dense: the band of
     -A* (and of E*) is then laid out once, and each shift adds itself to a
     copy and factors it in place with LAPACK's ``gbtrf``, so a factor costs
     no sparse temporaries. Otherwise it is ``("superlu", permc_spec)``, and

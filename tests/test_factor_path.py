@@ -1,6 +1,6 @@
 """The two factor paths of the shifted-solve service: a LAPACK band LU for
-narrow-band matrices and SuperLU for everything else. The band path is
-checked against SuperLU factors of the same matrices."""
+matrices that are dense inside their band and SuperLU for everything else.
+The band path is checked against SuperLU factors of the same matrices."""
 
 import numpy as np
 import pytest
@@ -122,11 +122,13 @@ class TestDispatch:
             ("superlu", "MMD_AT_PLUS_A")
 
     @pytest.mark.parametrize("p, q, seed", [(1, 1, 0), (2, 3, 1), (3, 1, 2)])
-    def test_random_triangular_takes_superlu(self, p, q, seed):
-        # A* is upper triangular: its band storage is 1.99 times its
-        # nonzeros, but the band is as wide as the matrix
+    def test_random_triangular_takes_band(self, p, q, seed):
+        # A* is upper triangular: its band, as wide as the matrix, is
+        # stored in 1.99 times its nonzeros. A itself is lower triangular,
+        # and room for pivoting doubles its band storage, so the one-off
+        # factor of A stays on SuperLU
         problem = random_stable_problem(200, p, q, seed)
-        assert ShiftedSolver(problem).factor_path == ("superlu", "COLAMD")
+        assert ShiftedSolver(problem).factor_path == ("band", 0, 199)
         assert not isinstance(sparse_lu(problem.A), _BandLU)
 
 
@@ -164,6 +166,27 @@ class TestSameIterates:
         runs = solve_both()
         force_superlu(monkeypatch)
         for (sol, hist), (ref_sol, ref_hist) in zip(runs, solve_both()):
+            assert [(r.iteration, r.dim) for r in hist.records] == \
+                [(r.iteration, r.dim) for r in ref_hist.records]
+            assert max(abs(r.rel_residual - s.rel_residual) for r, s in
+                       zip(hist.records, ref_hist.records)) <= 1e-12
+            assert rel(sol.to_dense(), ref_sol.to_dense()) <= 1e-12
+
+    @pytest.mark.parametrize("p, q, seed", [(1, 1, 0), (2, 3, 1), (3, 1, 2)])
+    def test_random_triangular(self, monkeypatch, p, q, seed):
+        # the dense upper triangular A* of the rksm sweep, with a fixed pole
+        # list for rksm (which holds a conjugate pair) and for ilrsi
+        problem = random_stable_problem(200, p, q, seed)
+        poles = [0.5, 2.0, 1.0 + 3.0j, 1.0 - 3.0j, 6.0, 0.2]
+
+        def solve_both():
+            return [rksm_solve(problem, poles, tol=1e-30, max_iter=12),
+                    ilrsi_solve(problem, poles, tol=1e-30, max_iter=12)]
+
+        runs = solve_both()
+        force_superlu(monkeypatch)
+        for (sol, hist), (ref_sol, ref_hist) in zip(runs, solve_both()):
+            assert hist.status == ref_hist.status
             assert [(r.iteration, r.dim) for r in hist.records] == \
                 [(r.iteration, r.dim) for r in ref_hist.records]
             assert max(abs(r.rel_residual - s.rel_residual) for r, s in

@@ -361,17 +361,20 @@ class TestSeededSweep:
 
 @pytest.fixture
 def factored(monkeypatch):
-    """Dtypes of the matrices the shifted-solve service factors, and of the
-    L and U factors it gets back."""
+    """Dtypes of the factors the shifted-solve service makes, one tuple per
+    factor on either path: L and U of a SuperLU factor, or the LU band of
+    a band factor."""
     seen = []
-    splu = riccati_si.ilrsi.splu
+    factor = riccati_si.ilrsi.ShiftedSolver._factor
 
-    def recording_splu(M, *args, **kwargs):
-        lu = splu(M, *args, **kwargs)
-        seen.append((M.dtype, lu.L.dtype, lu.U.dtype))
+    def recording_factor(self, shift):
+        lu = factor(self, shift)
+        seen.append((lu.L.dtype, lu.U.dtype) if self.factor_path[0] ==
+                    "superlu" else (lu._lu.dtype,))
         return lu
 
-    monkeypatch.setattr(riccati_si.ilrsi, "splu", recording_splu)
+    monkeypatch.setattr(riccati_si.ilrsi.ShiftedSolver, "_factor",
+                        recording_factor)
     return seen
 
 
