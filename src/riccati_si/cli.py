@@ -42,6 +42,7 @@ from .ilrsi import (
     residual_norm,
 )
 from .rksm import (
+    _check_pairs,
     build_distinct_basis,
     check_entrywise_T,
     check_sylvester_identity,
@@ -248,6 +249,12 @@ def _run_solver(cfg: RunConfig, problem: CareProblem):
         solution, history = ilrsi_solve(problem, shifts, options)
         return history, list(solution.shifts_used)
     if cfg.solver == "rksm":
+        if not isinstance(shifts, str) and problem.A.dtype.kind != "c":
+            # a bad pole list is a config error, not a solver breakdown
+            try:
+                _check_pairs(shifts)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         solution, history = rksm_solve(problem, shifts,
                                        {"tol": cfg.tol, "max_iter": cfg.max_iter})
         return history, list(solution.shifts_used)

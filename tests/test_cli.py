@@ -109,6 +109,21 @@ class TestRun:
         summary = json.loads((tmp_path / "b" / "summary.json").read_text())
         assert summary["status"] == "converged"
 
+    def test_unpaired_rksm_pole_list_is_config_error(self, tmp_path):
+        # on real data rksm takes a conjugate pair in one step, so the
+        # list must hold each pair in adjacent entries
+        shifts = tmp_path / "shifts.json"
+        shifts.write_text(json.dumps([[2, 1], [1, 0], [2, -1]]))
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            base_config(solver="rksm",
+                        shifts={"kind": "file", "path": str(shifts)}))
+        proc = run_cli("run", "--config", cfg, "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "not next to its conjugate" in proc.stderr
+        assert not (tmp_path / "summary.json").exists()
+
     def test_dense_exact_single_row(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",
