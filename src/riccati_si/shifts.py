@@ -321,8 +321,8 @@ def _hull_candidates(mu):
     if np.all(np.abs(mu.imag) <= 1e-8 * (1.0 + np.hypot(mu.real, mu.imag))):
         xs = np.sort(mu.real)
         lo, hi = xs[:-1], xs[1:]
-        gap = hi - lo > 1e-14 * (1.0 + np.abs(hi))
-        grid = np.linspace(lo[gap], hi[gap], 34, axis=1)[:, 1:-1]
+        wide = hi - lo > 1e-14 * (1.0 + np.abs(hi))
+        grid = np.linspace(lo[wide], hi[wide], 34, axis=1)[:, 1:-1]
         return grid.ravel().astype(complex)
     # the points of mu lie apart from each other (``_dedupe``), so their
     # conjugates do too: the hull's points are mu and the conjugates that
