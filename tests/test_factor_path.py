@@ -156,42 +156,35 @@ class TestSameIterates:
         # ten distinct fixed poles: adaptive poles amplify rounding
         # differences by a factor of 10 to 20 per pole on this problem, and
         # repeated ones raise resolvent powers, whichever path factors
-        poles = [0.5, 1.0, 2.0 + 1.0j, 2.0 - 1.0j, 4.0, 8.0, 1.5 + 2.5j,
-                 1.5 - 2.5j, 16.0, 0.25]
-
-        def solve_both():
-            return [rksm_solve(toeplitz, poles, tol=1e-30, max_iter=10),
-                    ilrsi_solve(toeplitz, poles, tol=1e-30, max_iter=10)]
-
-        runs = solve_both()
-        force_superlu(monkeypatch)
-        for (sol, hist), (ref_sol, ref_hist) in zip(runs, solve_both()):
-            assert [(r.iteration, r.dim) for r in hist.records] == \
-                [(r.iteration, r.dim) for r in ref_hist.records]
-            assert max(abs(r.rel_residual - s.rel_residual) for r, s in
-                       zip(hist.records, ref_hist.records)) <= 1e-12
-            assert rel(sol.to_dense(), ref_sol.to_dense()) <= 1e-12
+        same_runs(monkeypatch, toeplitz,
+                  [0.5, 1.0, 2.0 + 1.0j, 2.0 - 1.0j, 4.0, 8.0, 1.5 + 2.5j,
+                   1.5 - 2.5j, 16.0, 0.25])
 
     @pytest.mark.parametrize("p, q, seed", [(1, 1, 0), (2, 3, 1), (3, 1, 2)])
     def test_random_triangular(self, monkeypatch, p, q, seed):
-        # the dense upper triangular A* of the rksm sweep, with a fixed pole
-        # list for rksm (which holds a conjugate pair) and for ilrsi
-        problem = random_stable_problem(200, p, q, seed)
-        poles = [0.5, 2.0, 1.0 + 3.0j, 1.0 - 3.0j, 6.0, 0.2]
+        # the dense upper triangular A* of the rksm sweep
+        same_runs(monkeypatch, random_stable_problem(200, p, q, seed),
+                  [0.5, 2.0, 1.0 + 3.0j, 1.0 - 3.0j, 6.0, 0.2])
 
-        def solve_both():
-            return [rksm_solve(problem, poles, tol=1e-30, max_iter=12),
-                    ilrsi_solve(problem, poles, tol=1e-30, max_iter=12)]
 
-        runs = solve_both()
-        force_superlu(monkeypatch)
-        for (sol, hist), (ref_sol, ref_hist) in zip(runs, solve_both()):
-            assert hist.status == ref_hist.status
-            assert [(r.iteration, r.dim) for r in hist.records] == \
-                [(r.iteration, r.dim) for r in ref_hist.records]
-            assert max(abs(r.rel_residual - s.rel_residual) for r, s in
-                       zip(hist.records, ref_hist.records)) <= 1e-12
-            assert rel(sol.to_dense(), ref_sol.to_dense()) <= 1e-12
+def same_runs(monkeypatch, problem, poles):
+    """rksm and ilrsi with ten poles of the list give the same statuses,
+    dims, residuals and solutions on the problem's factor path and with
+    SuperLU forced."""
+
+    def solve_both():
+        return [rksm_solve(problem, poles, tol=1e-30, max_iter=10),
+                ilrsi_solve(problem, poles, tol=1e-30, max_iter=10)]
+
+    runs = solve_both()
+    force_superlu(monkeypatch)
+    for (sol, hist), (ref_sol, ref_hist) in zip(runs, solve_both()):
+        assert hist.status == ref_hist.status
+        assert [(r.iteration, r.dim) for r in hist.records] == \
+            [(r.iteration, r.dim) for r in ref_hist.records]
+        assert max(abs(r.rel_residual - s.rel_residual) for r, s in
+                   zip(hist.records, ref_hist.records)) <= 1e-12
+        assert rel(sol.to_dense(), ref_sol.to_dense()) <= 1e-12
 
 
 class TestSingularShift:
