@@ -3,6 +3,13 @@ histories, and run the self-check suites.
 
 Exit codes: 0 converged / all checks pass, 1 configuration error, 2 solver
 stopped at max_iter, 3 solver breakdown, 4 self-check violation.
+
+``run`` and ``compare`` share one rule. Anything that fails before the
+solver call (parsing the config, building the problem, building or
+checking the shift list) is a bad config: exit 1, an ``error:`` line and
+no outputs. Anything the solver call raises is a breakdown: exit 3, with
+the partial history when the solver kept one. ``compare`` prepares every
+config before it solves any.
 """
 
 from __future__ import annotations
@@ -162,106 +169,125 @@ def _build_problem(cfg: RunConfig) -> CareProblem:
 
 
 def _build_shifts(cfg: RunConfig, problem: CareProblem):
-    """Materialize the shift spec: a ShiftSequence for precomputed kinds or
-    the adaptive strategy string for rksm."""
+    """Materialize the shift spec and check that it fits the solver: a
+    ShiftSequence for precomputed kinds, the adaptive strategy string for
+    rksm, [] for dense_exact."""
+    if cfg.solver == "dense_exact":
+        return []
     spec = cfg.shifts
     if spec is None:
         raise ConfigError(f"solver {cfg.solver!r} requires a shifts spec")
     kind = spec["kind"]
-    if kind == "penzl":
-        return penzl_shifts(
-            problem, m=int(spec.get("m", 10)), m1=int(spec.get("m1", 20)),
-            m2=int(spec.get("m2", 10)), mode=spec.get("mode", "on_A"),
-        )
     if kind == "adaptive":
+        if cfg.solver != "rksm":
+            raise ConfigError(
+                f"adaptive shifts require the rksm solver; give {cfg.solver} "
+                "a penzl or file shift spec"
+            )
         variant = spec.get("variant", "plain")
         if variant not in ("plain", "stabilized"):
             raise ConfigError(
                 f"shifts.variant must be plain or stabilized, got {variant!r}"
             )
         return f"adaptive_{variant}"
-    path = spec["path"]
+    if kind == "penzl":
+        shifts = penzl_shifts(
+            problem, m=int(spec.get("m", 10)), m1=int(spec.get("m1", 20)),
+            m2=int(spec.get("m2", 10)), mode=spec.get("mode", "on_A"),
+        )
+    else:
+        with open(spec["path"]) as fh:
+            doc = json.load(fh)
+        if isinstance(doc, dict) and "shifts" in doc:
+            doc = doc["shifts"]
+        shifts = ShiftSequence.from_json(json.dumps(doc))
+    if cfg.solver == "rksm" and problem.A.dtype.kind != "c":
+        _check_pairs(shifts)
+    return shifts
+
+
+def _prepare(doc):
+    """Everything before the solver call: parse the config, build the
+    problem and the shift input. Returns (cfg, problem, shifts); any failure
+    here is a ConfigError."""
     try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read shift file {path}: {exc}") from exc
-    doc = json.loads(text)
-    if isinstance(doc, dict) and "shifts" in doc:
-        doc = doc["shifts"]
-    return ShiftSequence.from_json(json.dumps(doc))
+        cfg = RunConfig.from_dict(doc)
+        problem = _build_problem(cfg)
+        return cfg, problem, _build_shifts(cfg, problem)
+    except KeyError as exc:
+        raise ConfigError(f"missing key {exc}") from exc
+    except (ValueError, TypeError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _relative_rank(X):
+    s = np.linalg.svd(X, compute_uv=False)
+    return int(np.count_nonzero(s > 1e-12 * max(s[0], 1e-300)))
+
+
+def _dense_exact_run(problem):
+    X = dense_care_solve(problem)
+    cc = float(np.linalg.norm(problem.C.conj().T @ problem.C))
+    A = problem.A.toarray()
+    B, C = problem.B, problem.C
+    if problem.E is None:
+        R = care_residual(A, B, C, X)
+    else:
+        E = problem.E.toarray()
+        XE = X @ E
+        R = (A.conj().T @ XE + XE.conj().T @ A
+             - XE.conj().T @ (B @ B.conj().T) @ XE
+             + C.conj().T @ C)
+    history = ConvergenceHistory(status="converged")
+    history.append(1, dim=problem.n, rank=_relative_rank(X),
+                   rel_residual=float(np.linalg.norm(R)) / cc)
+    return history
 
 
 def _dense_fixed_point_run(problem, shifts, cfg):
-    vals = list(shifts.values if isinstance(shifts, ShiftSequence) else shifts)
     history = ConvergenceHistory()
     cc = float(np.linalg.norm(problem.C @ problem.C.conj().T))
     X = None
-    n = problem.n
     for it in range(1, cfg.max_iter + 1):
-        alpha = vals[(it - 1) % len(vals)]
+        alpha = shifts[(it - 1) % len(shifts)]
         X = dense_subspace_iteration(problem, [alpha], X0=X)[-1].X
         rel = float(np.linalg.norm(
             care_residual(problem.A.toarray(), problem.B, problem.C, X))) / cc
-        s = np.linalg.svd(X, compute_uv=False)
-        rank = int(np.count_nonzero(s > 1e-12 * max(s[0], 1e-300)))
-        history.append(it, dim=n, rank=rank, rel_residual=rel)
+        history.append(it, dim=problem.n, rank=_relative_rank(X),
+                       rel_residual=rel)
         if rel <= cfg.tol:
             history.status = "converged"
             break
     else:
         history.status = "max_iter"
-    return X, history
+    return history
 
 
-def _run_solver(cfg: RunConfig, problem: CareProblem):
-    """Dispatch one configured run; returns (history, shift list used)."""
-    if cfg.solver == "dense_exact":
-        X = dense_care_solve(problem)
-        cc = float(np.linalg.norm(problem.C.conj().T @ problem.C))
-        A = problem.A.toarray()
-        B, C = problem.B, problem.C
-        if problem.E is None:
-            R = care_residual(A, B, C, X)
-        else:
-            E = problem.E.toarray()
-            XE = X @ E
-            R = (A.conj().T @ XE + XE.conj().T @ A
-                 - XE.conj().T @ (B @ B.conj().T) @ XE
-                 + C.conj().T @ C)
-        rel = float(np.linalg.norm(R)) / cc
-        s = np.linalg.svd(X, compute_uv=False)
-        rank = int(np.count_nonzero(s > 1e-12 * max(s[0], 1e-300)))
-        history = ConvergenceHistory(status="converged")
-        history.append(1, dim=problem.n, rank=rank, rel_residual=rel)
-        return history, []
+def _solve(cfg: RunConfig, problem: CareProblem, shifts):
+    """Run one prepared config; returns (history, shift list used).
 
-    shifts = _build_shifts(cfg, problem)
-    if cfg.solver == "ilrsi":
-        if isinstance(shifts, str):
-            raise ConfigError(
-                "adaptive shifts require the rksm solver; give ilrsi a "
-                "penzl or file shift spec"
-            )
+    Whatever the solver call raises is a breakdown, reported on stderr: a
+    SolverBreakdown keeps its partial history, anything else (a LinAlgError
+    is a ValueError) gets an empty one."""
+    try:
+        if cfg.solver == "dense_exact":
+            return _dense_exact_run(problem), []
+        if cfg.solver == "dense_fixed_point":
+            return _dense_fixed_point_run(problem, shifts, cfg), \
+                list(shifts.values)
         options = {"tol": cfg.tol, "max_iter": cfg.max_iter}
-        if cfg.truncation_tol is not None:
-            options["truncation_tol"] = cfg.truncation_tol
-        solution, history = ilrsi_solve(problem, shifts, options)
+        if cfg.solver == "ilrsi":
+            if cfg.truncation_tol is not None:
+                options["truncation_tol"] = cfg.truncation_tol
+            solution, history = ilrsi_solve(problem, shifts, options)
+        else:
+            solution, history = rksm_solve(problem, shifts, options)
         return history, list(solution.shifts_used)
-    if cfg.solver == "rksm":
-        if not isinstance(shifts, str) and problem.A.dtype.kind != "c":
-            # a bad pole list is a config error, not a solver breakdown
-            try:
-                _check_pairs(shifts)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        solution, history = rksm_solve(problem, shifts,
-                                       {"tol": cfg.tol, "max_iter": cfg.max_iter})
-        return history, list(solution.shifts_used)
-    if isinstance(shifts, str):
-        raise ConfigError("dense_fixed_point requires a precomputed shift spec")
-    X, history = _dense_fixed_point_run(problem, shifts, cfg)
-    return history, list(shifts.values)
+    except (RuntimeError, ValueError) as exc:
+        print(f"breakdown: {exc}", file=sys.stderr)
+        history = getattr(exc, "history", None) or ConvergenceHistory()
+        history.status = "breakdown"
+        return history, []
 
 
 def _atomic_write(path, data: str):
@@ -295,30 +321,14 @@ def _summary_doc(cfg, history, shifts_used):
     }
 
 
-def cmd_run(config, out_dir=".") -> int:
+def cmd_run(doc, out_dir=".") -> int:
     """Run one config; write history CSV + summary JSON into out_dir."""
     try:
-        cfg = config if isinstance(config, RunConfig) else RunConfig.from_dict(config)
-        problem = _build_problem(cfg)
-    except (ConfigError, ValueError, FileNotFoundError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        history, shifts_used = _run_solver(cfg, problem)
+        cfg, problem, shifts = _prepare(doc)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SolverBreakdown as exc:
-        print(f"breakdown: {exc}", file=sys.stderr)
-        history = exc.history if exc.history is not None else \
-            ConvergenceHistory(status="breakdown")
-        history.status = "breakdown"
-        shifts_used = []
-    except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
-        print(f"breakdown: {exc}", file=sys.stderr)
-        history = ConvergenceHistory(status="breakdown")
-        shifts_used = []
-
+    history, shifts_used = _solve(cfg, problem, shifts)
     hist_path = os.path.join(out_dir, cfg.out.get("history", "history.csv"))
     summ_path = os.path.join(out_dir, cfg.out.get("summary", "summary.json"))
     _atomic_write(hist_path, history.to_csv())
@@ -334,20 +344,21 @@ def _problem_fingerprint(cfg: RunConfig):
     return json.dumps(doc, sort_keys=True)
 
 
-def cmd_compare(configs, out_dir=".") -> int:
+def cmd_compare(docs, out_dir=".") -> int:
     """Run several configs on the same problem; write a CSV of residual
-    versus space dimension with one column per run, plus a verdict JSON."""
-    if len(configs) < 2:
+    versus space dimension with one column per run, plus a verdict JSON.
+    Every config is prepared before any is solved."""
+    if len(docs) < 2:
         print("error: compare needs at least two configs", file=sys.stderr)
         return 1
-    try:
-        cfgs = [c if isinstance(c, RunConfig) else RunConfig.from_dict(c)
-                for c in configs]
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    prints = {_problem_fingerprint(c) for c in cfgs}
-    if len(prints) != 1:
+    prepared = []
+    for i, doc in enumerate(docs):
+        try:
+            prepared.append(_prepare(doc))
+        except ConfigError as exc:
+            print(f"error: config {i}: {exc}", file=sys.stderr)
+            return 1
+    if len({_problem_fingerprint(cfg) for cfg, _, _ in prepared}) != 1:
         print("error: configs disagree on the problem under test",
               file=sys.stderr)
         return 1
@@ -356,22 +367,14 @@ def cmd_compare(configs, out_dir=".") -> int:
     series = []
     reached = {}
     worst = 0
-    for i, cfg in enumerate(cfgs):
+    for i, (cfg, problem, shifts) in enumerate(prepared):
         label = f"run{i}_{cfg.solver}"
         if cfg.shifts is not None:
             label += "_" + cfg.shifts["kind"]
             if cfg.shifts["kind"] == "adaptive":
                 label += "_" + cfg.shifts.get("variant", "plain")
         labels.append(label)
-        try:
-            problem = _build_problem(cfg)
-            history, _ = _run_solver(cfg, problem)
-        except (ConfigError, ValueError, FileNotFoundError) as exc:
-            print(f"error in {label}: {exc}", file=sys.stderr)
-            return 1
-        except SolverBreakdown as exc:
-            history = exc.history if exc.history is not None else \
-                ConvergenceHistory(status="breakdown")
+        history, _ = _solve(cfg, problem, shifts)
         per_dim = {}
         hit = None
         for r in history.records:
@@ -403,7 +406,7 @@ def cmd_compare(configs, out_dir=".") -> int:
     _atomic_write(os.path.join(out_dir, "verdict.json"),
                   json.dumps(verdict, indent=2, sort_keys=True) + "\n")
     print(json.dumps(verdict, sort_keys=True))
-    return 0 if worst == 0 else worst
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +421,6 @@ def _suite_identities(rng):
         base = 0.2 + 5.0 * rng.random(k)
         shifts = [complex(b) for b in np.unique(base)]
         data = build_distinct_basis(prob, shifts)
-        if os.environ.get("RICCATI_SI_INJECT_FAULT") == "corrupt_t":
-            data.T[0, 0] += 1.0
         defect = check_sylvester_identity(data)
         thr = 1e-10 * np.linalg.norm(data.T)
         checks.append({"check": "check_sylvester_identity", "instance": trial,
@@ -537,27 +538,19 @@ def main(argv=None) -> int:
     p_ver.add_argument("--out", default=".")
     args = parser.parse_args(argv)
 
-    if args.command == "run":
+    if args.command == "verify":
+        return cmd_verify(args.suite, out_dir=args.out)
+    docs = []
+    for path in [args.config] if args.command == "run" else args.configs:
         try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
+            with open(path) as fh:
+                docs.append(json.load(fh))
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {args.config}: {exc}",
-                  file=sys.stderr)
+            print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
             return 1
-        return cmd_run(doc, out_dir=args.out)
-    if args.command == "compare":
-        docs = []
-        for path in args.configs:
-            try:
-                with open(path) as fh:
-                    docs.append(json.load(fh))
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"error: cannot read config {path}: {exc}",
-                      file=sys.stderr)
-                return 1
-        return cmd_compare(docs, out_dir=args.out)
-    return cmd_verify(args.suite, out_dir=args.out)
+    if args.command == "run":
+        return cmd_run(docs[0], out_dir=args.out)
+    return cmd_compare(docs, out_dir=args.out)
 
 
 if __name__ == "__main__":

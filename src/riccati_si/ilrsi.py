@@ -38,7 +38,6 @@ the worker before it stops it, and ``ilrsi_solve`` calls it on every exit.
 from __future__ import annotations
 
 import os
-import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -580,19 +579,14 @@ def residual_norm(problem: CareProblem, residual_factor) -> float:
     return float(np.linalg.norm(R.conj().T @ R))
 
 
-_DEFAULT_OPTIONS = {
-    "tol": 1e-8,
-    "max_iter": 100,
-    "truncation_tol": None,
-    "record_timing": False,
-}
+_DEFAULT_OPTIONS = {"tol": 1e-8, "max_iter": 100}
 
 
-def _merge_options(options, kwargs):
-    opts = dict(_DEFAULT_OPTIONS)
+def _merge_options(options, kwargs, defaults=_DEFAULT_OPTIONS):
+    opts = dict(defaults)
     for src in (options or {}), kwargs:
         for key, val in src.items():
-            if key not in _DEFAULT_OPTIONS:
+            if key not in defaults:
                 raise ValueError(f"unknown option {key!r}")
             opts[key] = val
     return opts
@@ -610,7 +604,8 @@ def ilrsi_solve(problem: CareProblem, shifts, options=None, **kwargs):
     shifted solver factors it ahead on a worker thread (``ShiftedSolver``);
     the worker is stopped on every exit.
     """
-    opts = _merge_options(options, kwargs)
+    opts = _merge_options(options, kwargs,
+                          dict(_DEFAULT_OPTIONS, truncation_tol=None))
     shift_list = [complex(s) for s in shifts]
     if not shift_list:
         raise ValueError("shift list must be nonempty")
@@ -637,13 +632,11 @@ def ilrsi_solve(problem: CareProblem, shifts, options=None, **kwargs):
         for it in range(1, max_iter + 1):
             alpha = shift_list[(it - 1) % len(shift_list)]
             nxt = shift_list[it % len(shift_list)] if it < max_iter else None
-            t0 = time.monotonic()
             state = ilrsi_init(problem, alpha, nxt) if state is None \
                 else ilrsi_step(state, alpha, nxt)
             rel = residual_norm(problem, state.residual_factor) / cc_norm
-            seconds = (time.monotonic() - t0) if opts["record_timing"] else 0.0
             history.append(it, dim=state.dim, rank=state.basis.rank(rank_tol),
-                           rel_residual=rel, seconds=seconds)
+                           rel_residual=rel)
             if rel <= tol:
                 history.status = "converged"
                 break

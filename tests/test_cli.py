@@ -1,18 +1,16 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
+from riccati_si import cli
 
-def run_cli(*args, env=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "riccati_si.cli", *args],
-        capture_output=True, text=True, env=full_env,
+        capture_output=True, text=True,
     )
 
 
@@ -124,6 +122,27 @@ class TestRun:
         assert "not next to its conjugate" in proc.stderr
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("shifts", [
+        {"kind": "file", "text": "[[-1, 0], [2, 0]]"},
+        {"kind": "file", "text": "[[1, 0"},
+        {"kind": "penzl", "m": 40},
+        {"kind": "penzl", "m": 6, "mode": "on_X"},
+    ], ids=["negative-shift", "malformed-file", "penzl-over-budget",
+            "penzl-unknown-mode"])
+    def test_bad_shift_spec_is_config_error(self, tmp_path, capsys, shifts):
+        # the shift list is built before the solver call, so a failure
+        # there is a bad config, not a breakdown
+        if "text" in shifts:
+            path = tmp_path / "shifts.json"
+            path.write_text(shifts["text"])
+            shifts = {"kind": "file", "path": str(path)}
+        cfg = write_config(tmp_path / "cfg.json", base_config(shifts=shifts))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "history.csv").exists()
+        assert not (out / "summary.json").exists()
+
     def test_dense_exact_single_row(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -191,6 +210,34 @@ class TestCompare:
         assert set(verdict["reached_tol_at_dim"]) == labels
         assert verdict["winner"] in labels | {"tie"}
 
+    @pytest.mark.parametrize("overrides", [
+        {"max_iter": "ten"},
+        {"problem": {"kind": "files", "b": "b.mtx", "c": "c.mtx"}},
+    ], ids=["non-numeric-max-iter", "files-without-a"])
+    def test_bad_config_is_error(self, tmp_path, capsys, overrides):
+        a = write_config(tmp_path / "a.json", base_config(**overrides))
+        b = write_config(tmp_path / "b.json",
+                         base_config(solver="rksm", **overrides))
+        assert cli.main(["compare", "--configs", a, b,
+                         "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "compare.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_dense_exact_over_threshold_is_breakdown(tmp_path, capsys, command):
+    # the dense threshold is checked by the solver call itself, so both
+    # commands report a breakdown
+    cfg = write_config(tmp_path / "cfg.json",
+                       {"problem": {"kind": "random_stable", "n": 420},
+                        "solver": "dense_exact"})
+    args = ["run", "--config", cfg] if command == "run" else \
+        ["compare", "--configs", cfg, cfg]
+    assert cli.main([*args, "--out", str(tmp_path)]) == 3
+    assert "breakdown: problem dimension 420" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_identities_suite_passes(self, tmp_path):
@@ -203,12 +250,18 @@ class TestVerify:
         assert any(c["check"] == "check_sylvester_identity"
                    for c in report["checks"])
 
-    def test_fault_injection_detected(self, tmp_path):
-        proc = run_cli("verify", "--suite", "identities",
-                       "--out", str(tmp_path),
-                       env={"RICCATI_SI_INJECT_FAULT": "corrupt_t"})
-        assert proc.returncode == 4
-        assert "violated" in proc.stderr
+    def test_fault_injection_detected(self, tmp_path, capsys, monkeypatch):
+        build = cli.build_distinct_basis
+
+        def corrupt_t(*args, **kwargs):
+            data = build(*args, **kwargs)
+            data.T[0, 0] += 1.0
+            return data
+
+        monkeypatch.setattr(cli, "build_distinct_basis", corrupt_t)
+        assert cli.main(["verify", "--suite", "identities",
+                         "--out", str(tmp_path)]) == 4
+        assert "violated" in capsys.readouterr().err
         report = json.loads(
             (tmp_path / "verify_identities.json").read_text())
         assert "check_sylvester_identity" in report["failed"]

@@ -248,6 +248,16 @@ class TestSolver:
         with pytest.raises(ValueError, match="identity"):
             rksm_solve(pe, [1.0])
 
+    @pytest.mark.parametrize("strategy, options, match", [
+        ("plain", {}, "pole strategy"),
+        ("stabilized", {}, "pole strategy"),
+        ([1.0, 2.0], {"truncation_tol": 0.9}, "unknown option"),
+    ], ids=["plain-alias", "stabilized-alias", "ilrsi-truncation-tol"])
+    def test_rejects_undocumented_inputs(self, strategy, options, match):
+        p = random_stable_problem(8, 1, 1, seed=0)
+        with pytest.raises(ValueError, match=match):
+            rksm_solve(p, strategy, **options)
+
 
 _RKSM_CONFIG = {
     "problem": {"kind": "laplacian", "m": 6},
