@@ -197,7 +197,12 @@ def _build_shifts(cfg: RunConfig, problem: CareProblem):
         )
     else:
         with open(spec["path"]) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(
+                    f"shift file {spec['path']} is not valid JSON: {exc}"
+                ) from exc
         if isinstance(doc, dict) and "shifts" in doc:
             doc = doc["shifts"]
         shifts = ShiftSequence.from_json(json.dumps(doc))
@@ -263,12 +268,13 @@ def _dense_fixed_point_run(problem, shifts, cfg):
     return history
 
 
-def _solve(cfg: RunConfig, problem: CareProblem, shifts):
+def _solve(cfg: RunConfig, problem: CareProblem, shifts, label=None):
     """Run one prepared config; returns (history, shift list used).
 
-    Whatever the solver call raises is a breakdown, reported on stderr: a
-    SolverBreakdown keeps its partial history, anything else (a LinAlgError
-    is a ValueError) gets an empty one."""
+    Whatever the solver call raises is a breakdown, reported on stderr
+    (after the run's label, if given): a SolverBreakdown keeps its partial
+    history, anything else (a LinAlgError is a ValueError) gets an empty
+    one."""
     try:
         if cfg.solver == "dense_exact":
             return _dense_exact_run(problem), []
@@ -284,7 +290,8 @@ def _solve(cfg: RunConfig, problem: CareProblem, shifts):
             solution, history = rksm_solve(problem, shifts, options)
         return history, list(solution.shifts_used)
     except (RuntimeError, ValueError) as exc:
-        print(f"breakdown: {exc}", file=sys.stderr)
+        where = f"{label}: " if label else ""
+        print(f"breakdown: {where}{exc}", file=sys.stderr)
         history = getattr(exc, "history", None) or ConvergenceHistory()
         history.status = "breakdown"
         return history, []
@@ -374,7 +381,7 @@ def cmd_compare(docs, out_dir=".") -> int:
             if cfg.shifts["kind"] == "adaptive":
                 label += "_" + cfg.shifts.get("variant", "plain")
         labels.append(label)
-        history, _ = _solve(cfg, problem, shifts)
+        history, _ = _solve(cfg, problem, shifts, label)
         per_dim = {}
         hit = None
         for r in history.records:

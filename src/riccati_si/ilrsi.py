@@ -355,9 +355,21 @@ class ShiftedSolver:
     dropped on any other thread, its memory is never returned. ``close``
     drops the worker's factors in a task on the worker and then stops it,
     and a caller that passes ``next_alpha`` calls it when done. The solver
-    stays usable after ``close``; it refactors what the worker made."""
+    stays usable after ``close``; it refactors what the worker made.
 
-    def __init__(self, problem: CareProblem):
+    A factor is held only while a later solve can use it, which the caller
+    says with ``cycled``. A caller that cycles a fixed shift list
+    (``ilrsi_solve``, the ilrsi step functions, rksm with a pole list)
+    keeps the default, and every factor stays: any shift may come back. A
+    caller that picks each shift as it goes (adaptive rksm) passes
+    ``cycled=False``: then only the factor serving the latest solve is
+    held (on real data, one complex factor serves a conjugate pair), and a
+    solve with a shift it does not serve drops it before the new factor is
+    made. A shift that comes back later is factored again, which gives the
+    same factor. A dropped factor that the worker made is dropped on the
+    worker."""
+
+    def __init__(self, problem: CareProblem, cycled=True):
         E = problem.E
         self.n = problem.n
         self.dtype = _data_dtype(problem)
@@ -369,6 +381,7 @@ class ShiftedSolver:
             kl, ku = self.factor_path[1:]
             self._band_A = _band(-self.Astar, kl, ku)
             self._band_E = None if E is None else _band(self.Estar, kl, ku)
+        self.cycled = cycled
         self.cache = {}
         self._pending = {}  # shift -> future of its factor on the worker
         self._worker = None
@@ -400,10 +413,30 @@ class ShiftedSolver:
                 f"-A* + alpha E* is singular for alpha = {key}", shift=key
             ) from exc
 
+    def _serving(self, key):
+        """The shift keys whose factor serves a solve with key."""
+        return (key,) if self.dtype.kind == "c" else (key, key.conjugate())
+
     def _has(self, key) -> bool:
         """Whether a solve with the shift key needs no new factor."""
-        keys = (key,) if self.dtype.kind == "c" else (key, key.conjugate())
-        return any(k in self.cache or k in self._pending for k in keys)
+        return any(k in self.cache or k in self._pending
+                   for k in self._serving(key))
+
+    def _drop(self, keys):
+        """Drop the held factors of keys, those the worker made on the
+        worker."""
+        made = [k for k in keys if k in self._worker_made]
+        for k in keys:
+            if k not in made:
+                del self.cache[k]
+        if made:
+            def release():
+                for k in made:
+                    del self.cache[k]
+
+            self._worker.submit(release).result()
+            self._worker_made = [k for k in self._worker_made
+                                 if k not in made]
 
     def _lookup(self, key):
         """The factor of key, waiting for the worker if it is making it;
@@ -445,6 +478,9 @@ class ShiftedSolver:
 
     def solve(self, alpha, rhs, next_alpha=None):
         key = complex(alpha)
+        if not self.cycled:
+            serving = self._serving(key)
+            self._drop([k for k in self.cache if k not in serving])
         if not self._has(key):
             if next_alpha is not None:
                 self._factor_ahead(complex(next_alpha), key)

@@ -9,9 +9,11 @@ ilrsi uses (``_BasisQR``): each resolvent block is added with one
 orthogonalization leaves at most 1e-10 of that column's own norm, so the
 decision does not depend on the scale of C. The resolvent solves go through
 the shifted-solve service the incremental iteration uses
-(``ShiftedSolver``). On real data the whole run stays in real arithmetic:
-a real pole gets a real factor, and a complex pole is taken with its
-conjugate in one step, as in the real ADI step for a conjugate shift pair.
+(``ShiftedSolver``), which keeps every factor of a pole list but only the
+latest factor of adaptive poles. On real data the whole run stays in real
+arithmetic: a real pole gets a real factor, and a complex pole is taken
+with its conjugate in one step, as in the real ADI step for a conjugate
+shift pair.
 The conjugate pole's block is the conjugate of the pole's block v, so one
 complex solve gives both, and [Re v, Im v] spans them. U, the projected
 matrices and the projected equations are then real, and ``care_solve_dense``
@@ -341,7 +343,9 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
     max_iter = int(opts["max_iter"])
 
     n, p = problem.n, problem.p
-    shifted = ShiftedSolver(problem)
+    # adaptive poles are picked as the run goes, so a factor is only held
+    # until a solve needs another one
+    shifted = ShiftedSolver(problem, cycled=not isinstance(strategy, str))
     dtype = shifted.dtype
     Cstar = problem.C.conj().T
     cc_norm = float(np.linalg.norm(problem.C @ problem.C.conj().T))

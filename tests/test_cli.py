@@ -143,6 +143,17 @@ class TestRun:
         assert not (out / "history.csv").exists()
         assert not (out / "summary.json").exists()
 
+    def test_malformed_shift_file_names_its_path(self, tmp_path, capsys):
+        path = tmp_path / "bad_shifts.json"
+        path.write_text("[[1, 0")
+        cfg = write_config(tmp_path / "cfg.json",
+                           base_config(shifts={"kind": "file",
+                                               "path": str(path)}))
+        assert cli.main(["run", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: shift file {path} is not valid JSON")
+
     def test_dense_exact_single_row(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -236,7 +247,26 @@ def test_dense_exact_over_threshold_is_breakdown(tmp_path, capsys, command):
     args = ["run", "--config", cfg] if command == "run" else \
         ["compare", "--configs", cfg, cfg]
     assert cli.main([*args, "--out", str(tmp_path)]) == 3
-    assert "breakdown: problem dimension 420" in capsys.readouterr().err
+    label = "" if command == "run" else "run0_dense_exact: "
+    assert f"breakdown: {label}problem dimension 420" in \
+        capsys.readouterr().err
+
+
+def test_compare_breakdowns_name_their_runs(tmp_path, capsys):
+    # two configs that break down the same way print one line each,
+    # labelled as in compare.csv
+    cfg = write_config(tmp_path / "cfg.json",
+                       {"problem": {"kind": "random_stable", "n": 420},
+                        "solver": "dense_exact"})
+    assert cli.main(["compare", "--configs", cfg, cfg,
+                     "--out", str(tmp_path)]) == 3
+    lines = [ln for ln in capsys.readouterr().err.splitlines()
+             if ln.startswith("breakdown:")]
+    assert [ln.split(":")[1].strip() for ln in lines] == \
+        ["run0_dense_exact", "run1_dense_exact"]
+    header = (tmp_path / "compare.csv").read_text().splitlines()[0]
+    assert header == ("dim,rel_residual_run0_dense_exact,"
+                      "rel_residual_run1_dense_exact")
 
 
 class TestVerify:

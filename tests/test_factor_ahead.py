@@ -179,6 +179,27 @@ class TestFactors:
         for shift, made, freed_on in freed:
             assert freed_on == made, shift
 
+    def test_dropped_worker_factor_freed_on_worker(self, factors):
+        # a solver that holds only the latest factor drops the one the
+        # worker made as soon as a solve needs another shift
+        problem = make_laplacian_problem(10)
+        rhs = np.ones((100, 1))
+        calls, freed = factors
+        solver = ShiftedSolver(problem, cycled=False)
+        main = threading.get_ident()
+        solver.solve(1.0, rhs, next_alpha=2.0)
+        solver.solve(2.0, rhs)
+        solver.solve(3.0, rhs)
+        gc.collect()
+        assert len(calls) == 3
+        assert {s: t != main for s, t in calls} == \
+            {1.0: False, 2.0: True, 3.0: False}
+        assert [shift for shift, _, _ in freed] == [1.0, 2.0]
+        for shift, made, freed_on in freed:
+            assert freed_on == made, shift
+        assert list(solver.cache) == [3.0]
+        solver.close()
+
     def test_no_worker_on_one_cpu(self, factors, monkeypatch):
         monkeypatch.setattr(riccati_si.ilrsi, "_cpu_count", lambda: 1)
         problem = make_laplacian_problem(40)
