@@ -3,8 +3,10 @@
 Two iterations over the same rational Krylov spaces: an incremental
 subspace iteration advancing a factored iterate one shifted solve per step
 (ilrsi_solve), and a Galerkin projection solving a small dense equation per
-pole (rksm_solve). Dense references, shift machinery, and convergence
-analysis tools back them up at oracle scale.
+pole (rksm_solve). Both take their options as keywords (tol, max_iter,
+and for ilrsi_solve truncation_tol). Dense references, shift machinery,
+convergence analysis tools and the distinct-shift identity checks behind
+``riccati-si verify`` back them up at oracle scale.
 """
 
 from .problems import (
@@ -48,14 +50,9 @@ from .ilrsi import (
 )
 from .rksm import (
     DistinctShiftBasisData,
-    RksmState,
     build_distinct_basis,
     check_entrywise_T,
     check_sylvester_identity,
-    galerkin_defect,
-    mirrored_ritz_fixed_point,
-    projected_residual_norm,
-    residual_rank_diagnostic,
     rksm_solve,
 )
 
@@ -67,7 +64,6 @@ __all__ = [
     "SolverBreakdown",
     "HamiltonianAnalysis",
     "DistinctShiftBasisData",
-    "RksmState",
     "CSV_HEADER",
     "load_problem",
     "save_problem",
@@ -96,11 +92,7 @@ __all__ = [
     "build_distinct_basis",
     "check_sylvester_identity",
     "check_entrywise_T",
-    "galerkin_defect",
-    "projected_residual_norm",
-    "residual_rank_diagnostic",
     "rksm_solve",
-    "mirrored_ritz_fixed_point",
 ]
 
 __version__ = "0.1.0"

@@ -285,9 +285,9 @@ def _solve(cfg: RunConfig, problem: CareProblem, shifts, label=None):
         if cfg.solver == "ilrsi":
             if cfg.truncation_tol is not None:
                 options["truncation_tol"] = cfg.truncation_tol
-            solution, history = ilrsi_solve(problem, shifts, options)
+            solution, history = ilrsi_solve(problem, shifts, **options)
         else:
-            solution, history = rksm_solve(problem, shifts, options)
+            solution, history = rksm_solve(problem, shifts, **options)
         return history, list(solution.shifts_used)
     except (RuntimeError, ValueError) as exc:
         where = f"{label}: " if label else ""

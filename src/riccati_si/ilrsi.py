@@ -76,7 +76,6 @@ class HistoryRecord:
     dim: int
     rank: int
     rel_residual: float
-    seconds: float
 
 
 @dataclass
@@ -86,17 +85,18 @@ class ConvergenceHistory:
     records: list = field(default_factory=list)
     status: str = "running"
 
-    def append(self, iteration, dim, rank, rel_residual, seconds=0.0):
+    def append(self, iteration, dim, rank, rel_residual):
         self.records.append(
-            HistoryRecord(iteration, dim, rank, float(rel_residual), seconds)
+            HistoryRecord(iteration, dim, rank, float(rel_residual))
         )
 
     def to_csv(self) -> str:
+        """One line per record; the seconds column is always 0 (no
+        per-step timing is recorded)."""
         lines = [CSV_HEADER]
         for r in self.records:
             lines.append(
-                f"{r.iteration},{r.dim},{r.rank},"
-                f"{_fmt(r.rel_residual)},{_fmt(r.seconds)}"
+                f"{r.iteration},{r.dim},{r.rank},{_fmt(r.rel_residual)},0"
             )
         return "\n".join(lines) + "\n"
 
@@ -366,8 +366,9 @@ class ShiftedSolver:
     held (on real data, one complex factor serves a conjugate pair), and a
     solve with a shift it does not serve drops it before the new factor is
     made. A shift that comes back later is factored again, which gives the
-    same factor. A dropped factor that the worker made is dropped on the
-    worker."""
+    same factor. Such a solver takes no ``next_alpha`` (ValueError), so it
+    has no worker and every factor it drops was made on the calling
+    thread."""
 
     def __init__(self, problem: CareProblem, cycled=True):
         E = problem.E
@@ -422,22 +423,6 @@ class ShiftedSolver:
         return any(k in self.cache or k in self._pending
                    for k in self._serving(key))
 
-    def _drop(self, keys):
-        """Drop the held factors of keys, those the worker made on the
-        worker."""
-        made = [k for k in keys if k in self._worker_made]
-        for k in keys:
-            if k not in made:
-                del self.cache[k]
-        if made:
-            def release():
-                for k in made:
-                    del self.cache[k]
-
-            self._worker.submit(release).result()
-            self._worker_made = [k for k in self._worker_made
-                                 if k not in made]
-
     def _lookup(self, key):
         """The factor of key, waiting for the worker if it is making it;
         None if there is none."""
@@ -479,8 +464,12 @@ class ShiftedSolver:
     def solve(self, alpha, rhs, next_alpha=None):
         key = complex(alpha)
         if not self.cycled:
+            if next_alpha is not None:
+                raise ValueError("a solver with cycled=False factors one "
+                                 "shift at a time; next_alpha is not taken")
             serving = self._serving(key)
-            self._drop([k for k in self.cache if k not in serving])
+            self.cache = {k: lu for k, lu in self.cache.items()
+                          if k in serving}
         if not self._has(key):
             if next_alpha is not None:
                 self._factor_ahead(complex(next_alpha), key)
@@ -615,20 +604,8 @@ def residual_norm(problem: CareProblem, residual_factor) -> float:
     return float(np.linalg.norm(R.conj().T @ R))
 
 
-_DEFAULT_OPTIONS = {"tol": 1e-8, "max_iter": 100}
-
-
-def _merge_options(options, kwargs, defaults=_DEFAULT_OPTIONS):
-    opts = dict(defaults)
-    for src in (options or {}), kwargs:
-        for key, val in src.items():
-            if key not in defaults:
-                raise ValueError(f"unknown option {key!r}")
-            opts[key] = val
-    return opts
-
-
-def ilrsi_solve(problem: CareProblem, shifts, options=None, **kwargs):
+def ilrsi_solve(problem: CareProblem, shifts, *, tol=1e-8, max_iter=100,
+                truncation_tol=None):
     """Run the incremental iteration until the relative residual drops below
     tol or max_iter steps are spent; the shift list is cycled as needed.
     truncation_tol, when given, is the relative singular-value cutoff of the
@@ -640,17 +617,14 @@ def ilrsi_solve(problem: CareProblem, shifts, options=None, **kwargs):
     shifted solver factors it ahead on a worker thread (``ShiftedSolver``);
     the worker is stopped on every exit.
     """
-    opts = _merge_options(options, kwargs,
-                          dict(_DEFAULT_OPTIONS, truncation_tol=None))
     shift_list = [complex(s) for s in shifts]
     if not shift_list:
         raise ValueError("shift list must be nonempty")
-    tol = float(opts["tol"])
+    tol = float(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    max_iter = int(opts["max_iter"])
-    rank_tol = 1e-12 if opts["truncation_tol"] is None \
-        else float(opts["truncation_tol"])
+    max_iter = int(max_iter)
+    rank_tol = 1e-12 if truncation_tol is None else float(truncation_tol)
     if not 0.0 < rank_tol < 1.0:
         raise ValueError(f"truncation_tol must be in (0, 1), got {rank_tol}")
 

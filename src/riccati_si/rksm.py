@@ -1,5 +1,4 @@
-"""Galerkin rational Krylov solver and the diagnostics tying it to the
-incremental subspace iteration.
+"""Galerkin rational Krylov solver and the distinct-shift form of its space.
 
 rksm_solve projects the Riccati equation onto a rational Krylov space built
 one resolvent solve per step and solves the small projected equation densely
@@ -26,8 +25,9 @@ complement (``ResidualTracker``).
 build_distinct_basis assembles the same space (with the same solves) in its
 distinct-shift normal form V = [(-A*+a_1 I)^{-1}C*, ...] together with the
 structured small matrix T, on which the algebraic identities (Sylvester
-relation, entrywise closed form, Galerkin defect, rank-p residual) can be
-checked directly.
+relation, entrywise closed form) can be checked directly; ``riccati-si
+verify --suite identities`` runs them. The Galerkin and fixed-point
+diagnostics built on this form live with the tests (tests/diagnostics.py).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problems import CareProblem
-from .dense import care_residual, care_solve_dense, dense_threshold
+from .dense import care_solve_dense
 from .ilrsi import (
     ConvergenceHistory,
     LowRankSolution,
@@ -46,7 +46,6 @@ from .ilrsi import (
     ShiftedSolver,
     SolverBreakdown,
     _BasisQR,
-    _merge_options,
 )
 from .shifts import ShiftSequence, _mirrored_ritz_pole, adaptive_pole
 
@@ -81,8 +80,7 @@ class DistinctShiftBasisData:
 
     V stacks the blocks (-A* + a_i E*)^{-1} C*; T is the structured small
     matrix making V T^{-1} V* the iterate; Lambda = diag(shifts) (x) I_p;
-    ones stacks k copies of I_p; g and K are the Gram-weighted projections
-    of C* and A* onto the space.
+    ones stacks k copies of I_p.
     """
 
     problem: CareProblem
@@ -91,8 +89,6 @@ class DistinctShiftBasisData:
     T: np.ndarray
     Lambda: np.ndarray
     ones: np.ndarray
-    g: np.ndarray
-    K: np.ndarray
 
 
 def _check_distinct(shifts):
@@ -150,15 +146,9 @@ def build_distinct_basis(problem: CareProblem, shifts) -> DistinctShiftBasisData
 
     Lambda = np.kron(np.diag(vals), Ip)
     ones = np.kron(np.ones((k, 1)), Ip)
-    VhV = V.conj().T @ V
-    # least squares instead of a direct solve: the Gram matrix can be
-    # numerically singular (overcomplete basis), and g/K are only
-    # meaningful projections in the full-rank case anyway
-    g = np.linalg.lstsq(VhV, V.conj().T @ Cstar, rcond=None)[0]
-    K = np.linalg.lstsq(VhV, V.conj().T @ (shifted.Astar @ V), rcond=None)[0]
     return DistinctShiftBasisData(
         problem=problem, shifts=tuple(vals), V=V, T=T,
-        Lambda=Lambda, ones=ones, g=g, K=K,
+        Lambda=Lambda, ones=ones,
     )
 
 
@@ -190,56 +180,6 @@ def check_entrywise_T(data: DistinctShiftBasisData) -> float:
             err = np.max(np.abs(got - ref)) / scale
             worst = max(worst, float(err))
     return worst
-
-
-def galerkin_defect(data: DistinctShiftBasisData) -> float:
-    """||g - T^{-1} ones||: zero exactly when the iterate is the Galerkin
-    solution on the space (rank-one C path)."""
-    if data.problem.p != 1:
-        raise ValueError("Galerkin defect diagnostic is defined for p = 1")
-    return float(np.linalg.norm(data.g - np.linalg.solve(data.T, data.ones)))
-
-
-def _dense_residual(problem: CareProblem, X):
-    if problem.E is not None:
-        raise ValueError("dense residual diagnostic assumes E = identity")
-    return care_residual(problem.A.toarray(), problem.B, problem.C, X)
-
-
-def projected_residual_norm(problem: CareProblem, data: DistinctShiftBasisData) -> float:
-    """||V* R V||_F for the residual R at X = V T^{-1} V* (dense evaluation;
-    diagnostic scale only)."""
-    X = data.V @ np.linalg.solve(data.T, data.V.conj().T)
-    R = _dense_residual(problem, X)
-    return float(np.linalg.norm(data.V.conj().T @ R @ data.V))
-
-
-def residual_rank_diagnostic(problem: CareProblem, data: DistinctShiftBasisData):
-    """Leading two singular values of the dense residual at X = V T^{-1} V*,
-    cross-checked against its factored form w w* with w = C* - V T^{-1} ones."""
-    if problem.p != 1:
-        raise ValueError("rank diagnostic is defined for p = 1")
-    if problem.n > dense_threshold():
-        raise ValueError(
-            f"problem size {problem.n} exceeds the dense diagnostic "
-            f"threshold {dense_threshold()}"
-        )
-    X = data.V @ np.linalg.solve(data.T, data.V.conj().T)
-    R = _dense_residual(problem, X)
-    s = np.linalg.svd(R, compute_uv=False)
-    w = problem.C.conj().T.astype(complex) - data.V @ np.linalg.solve(data.T, data.ones)
-    factored = w @ w.conj().T
-    Rn = float(np.linalg.norm(R))
-    Gn = float(np.linalg.norm(problem.C.conj().T @ problem.C))
-    defect = float(np.linalg.norm(R - factored))
-    if defect > 1e-10 * max(Rn, 0.1 * Gn):
-        raise RuntimeError(
-            f"residual does not match its factored rank-one form "
-            f"(defect {defect:.2e} vs norm {Rn:.2e})"
-        )
-    sigma1 = float(s[0]) if s.size else 0.0
-    sigma2 = float(s[1]) if s.size > 1 else 0.0
-    return sigma1, sigma2
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +241,8 @@ def _check_pairs(poles):
         i += 1
 
 
-def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
+def rksm_solve(problem: CareProblem, pole_strategy, *, tol=1e-8,
+               max_iter=100):
     """Expand the rational Krylov space one resolvent solve per step, solve
     the projected equation densely, and stop when the true relative
     residual drops below tol.
@@ -336,11 +277,10 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
             _check_pairs(seq)
         saturation_limit = len(seq) + 1
 
-    opts = _merge_options(options, kwargs)
-    tol = float(opts["tol"])
+    tol = float(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    max_iter = int(opts["max_iter"])
+    max_iter = int(max_iter)
 
     n, p = problem.n, problem.p
     # adaptive poles are picked as the run goes, so a factor is only held
@@ -460,38 +400,3 @@ def rksm_solve(problem: CareProblem, pole_strategy, options=None, **kwargs):
     return LowRankSolution.from_basis(state.U, state.Y, state.poles), \
         state.history
 
-
-def mirrored_ritz_fixed_point(problem: CareProblem, k, poles0,
-                              max_rounds=60, tol=1e-8, damping=0.0):
-    """Search pole sets that reproduce themselves: build the distinct-shift
-    basis, mirror the eigenvalues of the projected closed-loop matrix
-    K - T^{-1} V*FV, and iterate. Returns (poles, rounds, final_change).
-
-    Convergence is not guaranteed (the underlying characterization is a
-    fixed-point condition, not an algorithm); callers should check the
-    reported change. damping blends consecutive pole sets when cycling.
-    """
-    poles = np.sort_complex(np.asarray([complex(s) for s in poles0]))
-    if len(poles) != k:
-        raise ValueError(f"expected {k} starting poles, got {len(poles)}")
-    change = np.inf
-    for round_no in range(1, max_rounds + 1):
-        data = build_distinct_basis(problem, list(poles))
-        W = problem.B.conj().T @ data.V
-        VFV = W.conj().T @ W
-        closed = data.K - np.linalg.solve(data.T, VFV)
-        theta = np.linalg.eigvals(closed)
-        new = -np.conj(theta)
-        if np.any(new.real <= 0):
-            raise RuntimeError(
-                "projected closed-loop matrix produced a non-mirrorable "
-                f"eigenvalue at round {round_no}"
-            )
-        new = np.sort_complex(new)
-        if damping:
-            new = np.sort_complex((1.0 - damping) * new + damping * poles)
-        change = float(np.max(np.abs(new - poles)) / max(1.0, np.max(np.abs(new))))
-        poles = new
-        if change <= tol:
-            break
-    return poles, round_no, change

@@ -22,19 +22,21 @@ from riccati_si import (
     check_sylvester_identity,
     convergence_bound,
     dense_subspace_iteration,
-    galerkin_defect,
     ilrsi_init,
     ilrsi_solve,
     ilrsi_step,
     make_laplacian_problem,
     make_toeplitz_problem,
-    mirrored_ritz_fixed_point,
     penzl_shifts,
-    projected_residual_norm,
     random_stable_problem,
     residual_norm,
     rksm_solve,
     spectral_radius_identity_check,
+)
+from diagnostics import (
+    galerkin_defect,
+    mirrored_ritz_fixed_point,
+    projected_residual_norm,
 )
 from oracles import (
     adi_lyapunov_dense,

@@ -23,6 +23,7 @@ from riccati_si import (
     spectral_radius_identity_check,
     subspace_distance,
 )
+from riccati_si.dense import sep_estimate, sep_exact
 from oracles import dense_riccati_residual, projector_distance, scalar_problem
 
 
@@ -171,6 +172,42 @@ def test_analysis_distance_matches_projector_oracle():
     start = np.vstack([np.eye(8), np.zeros((8, 8))])
     d_oracle = projector_distance(start, Z[:, :8])
     assert abs(an.d - d_oracle) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n", [5, 10, 20])
+def test_sep_estimate_matches_exact(n, seed):
+    # the estimate is a power iteration with (L* L)^{-1} for the Sylvester
+    # operator L, so it approaches sep from above, at a rate set by the
+    # ratio r of the two smallest singular values of L
+    p = random_stable_problem(n, 1, 1, seed=seed)
+    an = analyze_hamiltonian(p, [1.0])
+    I = np.eye(n)
+    L = np.kron(I, an.T11) - np.kron(an.T22.T, I)
+    s = la.svdvals(L)
+    r = s[-1] / s[-2]
+    exact = sep_exact(an.T11, an.T22)
+    est = sep_estimate(an.T11, an.T22)
+    assert exact * (1 - 1e-12) <= est <= exact * (1 + r ** 80 + 1e-12)
+
+
+def test_analysis_estimates_sep_above_60(monkeypatch):
+    calls = []
+
+    def record(name, f):
+        def wrapped(*args, **kwargs):
+            out = f(*args, **kwargs)
+            calls.append((name, out))
+            return out
+        return wrapped
+
+    monkeypatch.setattr("riccati_si.dense.sep_exact",
+                        record("exact", sep_exact))
+    monkeypatch.setattr("riccati_si.dense.sep_estimate",
+                        record("estimate", sep_estimate))
+    an = analyze_hamiltonian(random_stable_problem(70, 1, 1, seed=70), [1.0])
+    assert calls == [("estimate", an.sep)]
+    assert 0.0 < an.sep < np.inf
 
 
 def test_zero_start_distance_below_one():

@@ -179,26 +179,19 @@ class TestFactors:
         for shift, made, freed_on in freed:
             assert freed_on == made, shift
 
-    def test_dropped_worker_factor_freed_on_worker(self, factors):
-        # a solver that holds only the latest factor drops the one the
-        # worker made as soon as a solve needs another shift
+    def test_non_cycling_solver_refuses_next_alpha(self, factors):
+        # a solver that holds only the latest factor factors one shift at a
+        # time, so no worker ever makes a factor it would drop
         problem = make_laplacian_problem(10)
         rhs = np.ones((100, 1))
-        calls, freed = factors
+        calls, _ = factors
         solver = ShiftedSolver(problem, cycled=False)
-        main = threading.get_ident()
-        solver.solve(1.0, rhs, next_alpha=2.0)
-        solver.solve(2.0, rhs)
-        solver.solve(3.0, rhs)
-        gc.collect()
-        assert len(calls) == 3
-        assert {s: t != main for s, t in calls} == \
-            {1.0: False, 2.0: True, 3.0: False}
-        assert [shift for shift, _, _ in freed] == [1.0, 2.0]
-        for shift, made, freed_on in freed:
-            assert freed_on == made, shift
-        assert list(solver.cache) == [3.0]
-        solver.close()
+        solver.solve(1.0, rhs)
+        with pytest.raises(ValueError, match="next_alpha"):
+            solver.solve(2.0, rhs, next_alpha=3.0)
+        assert [s for s, _ in calls] == [1.0]
+        assert list(solver.cache) == [1.0]
+        assert solver._worker is None
 
     def test_no_worker_on_one_cpu(self, factors, monkeypatch):
         monkeypatch.setattr(riccati_si.ilrsi, "_cpu_count", lambda: 1)

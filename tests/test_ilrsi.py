@@ -396,7 +396,7 @@ class TestSolverLoop:
 
     def test_unknown_option_rejected(self):
         p = random_stable_problem(8, 1, 1, seed=0)
-        with pytest.raises(ValueError, match="unknown option"):
+        with pytest.raises(TypeError, match="speed"):
             ilrsi_solve(p, [1.0], speed="ludicrous")
 
     @pytest.mark.parametrize("trunc", [0, 1, 2, -1e-3])

@@ -9,29 +9,31 @@ import riccati_si.ilrsi
 from riccati_si import (
     CareProblem,
     LowRankSolution,
-    RksmState,
     SolverBreakdown,
     adaptive_pole,
     build_distinct_basis,
     check_entrywise_T,
     check_sylvester_identity,
     dense_care_solve,
-    galerkin_defect,
     ilrsi_init,
     ilrsi_step,
     make_laplacian_problem,
     make_toeplitz_problem,
-    mirrored_ritz_fixed_point,
     penzl_shifts,
-    projected_residual_norm,
     random_stable_problem,
-    residual_rank_diagnostic,
     rksm_solve,
 )
 from riccati_si import cli
 from riccati_si.dense import care_solve_dense
 from riccati_si.ilrsi import _BasisQR
-from riccati_si.rksm import _next_pole
+from riccati_si.rksm import RksmState, _next_pole
+from diagnostics import (
+    galerkin_defect,
+    mirrored_ritz_fixed_point,
+    projected_residual_norm,
+    projections,
+    residual_rank_diagnostic,
+)
 from oracles import (
     dense_riccati_residual,
     passive_problem,
@@ -73,9 +75,9 @@ class TestDistinctBasis:
         # conditioning of the Gram matrix behind the least-squares projection)
         p = random_stable_problem(20, 1, 1, seed=4)
         data = build_distinct_basis(p, [1.0, 2.0 + 1.0j, 2.0 - 1.0j])
-        defect = np.linalg.norm(
-            data.K - (data.Lambda - data.g @ data.ones.conj().T))
-        assert defect <= 1e-10 * np.linalg.norm(data.K)
+        g, K = projections(data)
+        defect = np.linalg.norm(K - (data.Lambda - g @ data.ones.conj().T))
+        assert defect <= 1e-10 * np.linalg.norm(K)
 
     def test_matches_iteration_for_same_shifts(self):
         p = random_stable_problem(30, 1, 1, seed=7)
@@ -248,14 +250,16 @@ class TestSolver:
         with pytest.raises(ValueError, match="identity"):
             rksm_solve(pe, [1.0])
 
-    @pytest.mark.parametrize("strategy, options, match", [
-        ("plain", {}, "pole strategy"),
-        ("stabilized", {}, "pole strategy"),
-        ([1.0, 2.0], {"truncation_tol": 0.9}, "unknown option"),
+    @pytest.mark.parametrize("strategy, options, error, match", [
+        ("plain", {}, ValueError, "pole strategy"),
+        ("stabilized", {}, ValueError, "pole strategy"),
+        # an option rksm does not take is Python's unknown-keyword error
+        ([1.0, 2.0], {"truncation_tol": 0.9}, TypeError, "truncation_tol"),
     ], ids=["plain-alias", "stabilized-alias", "ilrsi-truncation-tol"])
-    def test_rejects_undocumented_inputs(self, strategy, options, match):
+    def test_rejects_undocumented_inputs(self, strategy, options, error,
+                                         match):
         p = random_stable_problem(8, 1, 1, seed=0)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(error, match=match):
             rksm_solve(p, strategy, **options)
 
 
