@@ -9,6 +9,7 @@ dense subspace / fixed-point iterations, and the convergence-bound apparatus
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,9 +274,17 @@ def sep_exact(T11, T22) -> float:
     return float(la.svdvals(L).min())
 
 
-def sep_estimate(T11, T22, iters=40, seed=0) -> float:
+def sep_estimate(T11, T22, iters=1000, seed=0) -> float:
     """Power-iteration estimate of sep through solves with the Sylvester
-    operator and its adjoint (used above the exact-computation size limit)."""
+    operator and its adjoint (used above the exact-computation size limit).
+
+    The estimate approaches sep from above, slowly when the two smallest
+    singular values of the operator are close, so the iteration runs until
+    two successive Rayleigh quotients agree to 1e-12 relative. ``iters``
+    caps the steps; reaching the cap raises a RuntimeWarning that names the
+    last relative change."""
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
     n = T11.shape[0]
     m = T22.shape[0]
     rng = np.random.default_rng(seed)
@@ -285,8 +294,17 @@ def sep_estimate(T11, T22, iters=40, seed=0) -> float:
     for _ in range(iters):
         W = la.solve_sylvester(T11, -T22, V)
         W = la.solve_sylvester(T11.conj().T, -T22.conj().T, W)
-        ray = np.linalg.norm(W)
+        ray, last = np.linalg.norm(W), ray
         V = W / ray
+        change = abs(ray - last) / ray
+        if change <= 1e-12:
+            break
+    else:
+        warnings.warn(
+            f"sep_estimate reached its cap of {iters} power steps with a "
+            f"last relative change of {change:.2e}", RuntimeWarning,
+            stacklevel=2,
+        )
     return float(1.0 / np.sqrt(ray))
 
 

@@ -108,9 +108,13 @@ def rational_objective(shifts, spectrum) -> float:
 
 
 def _arnoldi_ritz(matvec, v0, steps):
-    """Ritz values from a modified-Gram-Schmidt Arnoldi run in the dtype of
-    v0 (so matvec must map that dtype into itself); returns
-    (ritz values, broke_down). The basis is stored one vector per row."""
+    """Ritz values from an Arnoldi run in the dtype of v0 (so matvec must map
+    that dtype into itself); returns (ritz values, broke_down).
+
+    The basis is stored one vector per row, and each new vector is
+    orthogonalized by classical Gram-Schmidt run twice (CGS2): two passes of
+    h = V* w, w -= V h, each one matrix-vector product with the rows so far.
+    """
     n = v0.size
     steps = max(1, min(steps, n))
     dtype = np.result_type(v0, float)
@@ -124,13 +128,9 @@ def _arnoldi_ritz(matvec, v0, steps):
     broke = False
     for j in range(steps):
         w = np.asarray(matvec(V[j]), dtype=dtype).ravel()
-        for i in range(j + 1):
-            Hm[i, j] = np.vdot(V[i], w)
-            w -= Hm[i, j] * V[i]
-        for i in range(j + 1):
-            c = np.vdot(V[i], w)
-            Hm[i, j] += c
-            w -= c * V[i]
+        h = _cgs_pass(V[: j + 1], w)
+        c = _cgs_pass(V[: j + 1], w)
+        Hm[: j + 1, j] = h + c
         hnext = np.linalg.norm(w)
         j_done = j + 1
         if hnext <= 1e-12 * max(1.0, np.linalg.norm(Hm[: j + 1, j])):
@@ -142,12 +142,42 @@ def _arnoldi_ritz(matvec, v0, steps):
     return ritz, broke
 
 
+def _cgs_pass(V, w):
+    """One classical Gram-Schmidt pass of w against the rows of V: returns
+    the coefficients h = V* w and subtracts h V from w in place. On complex
+    data w is conjugated rather than the (larger) basis."""
+    if np.iscomplexobj(V):
+        h = (V @ w.conj()).conj()
+    else:
+        h = V @ w
+    w -= h @ V
+    return h
+
+
+def _realify(z):
+    """z as a complex array, with each imaginary part at most
+    _REAL_TOL (1 + |Re z|) set to zero, as ``_realify_scalar`` does."""
+    z = np.asarray(z, dtype=complex).ravel()
+    near = np.abs(z.imag) <= _REAL_TOL * (1.0 + np.abs(z.real))
+    return np.where(near, z.real, z)
+
+
 def _dedupe(points, tol=1e-8):
-    kept = []
-    for z in points:
-        if all(abs(z - w) > tol * (1.0 + abs(z)) for w in kept):
-            kept.append(z)
-    return kept
+    """The points (a complex array) in order, less each one that lies within
+    tol (1 + |z|) of a point kept before it.
+
+    Distances are libm hypot, as Python's abs of a complex computes them.
+    A point with no close point before it is kept; the others are decided
+    in order, since whether one is kept depends on which earlier ones were.
+    """
+    z = np.asarray(points, dtype=complex).ravel()
+    gap = z[:, None] - z
+    radius = tol * (1.0 + np.hypot(z.real, z.imag))
+    close = np.tril(~(np.hypot(gap.real, gap.imag) > radius[:, None]), -1)
+    keep = ~close.any(axis=1)
+    for i in np.flatnonzero(~keep):
+        keep[i] = not (close[i] & keep).any()
+    return z[keep]
 
 
 def _hamiltonian_ops(problem):
@@ -192,13 +222,15 @@ def penzl_shifts(problem, m=10, m1=20, m2=10, mode="on_A",
     Two Krylov runs (m1 steps with the operator, m2 with its inverse) supply
     Ritz values of A (mode ``on_A``, the default) or of the Hamiltonian
     (mode ``on_H``, where only Ritz values with positive real part are kept).
-    Stable Ritz values of A are mirrored into the right half-plane. The
-    greedy pass seeds with the candidate minimizing the single-shift rational
-    objective over the Ritz set, then repeatedly adds the candidate where the
-    current product is largest (i.e. least damped). Conjugate pairs are kept
-    together; when only one slot remains and the best candidate is complex,
-    the best real candidate is preferred, and if none exists the pair is
-    appended anyway (one shift over m) with a note.
+    Both are Arnoldi runs with classical Gram-Schmidt applied twice
+    (``_arnoldi_ritz``); the products with A use it as stored. Stable Ritz
+    values of A are mirrored into the right half-plane. The greedy pass
+    (``_greedy_shifts``) seeds with the candidate minimizing the
+    single-shift rational objective over the Ritz set, then repeatedly adds
+    the candidate where the current product is largest (i.e. least damped).
+    Conjugate pairs are kept together; when only one slot remains and the
+    best candidate is complex, the best real candidate is preferred, and if
+    none exists the pair is appended anyway (one shift over m) with a note.
 
     ``candidate_pool`` overrides the candidate set (the Ritz-derived spectrum
     is still the objective's evaluation set), which makes grid-search
@@ -211,7 +243,7 @@ def penzl_shifts(problem, m=10, m1=20, m2=10, mode="on_A",
     notes = []
     if mode == "on_A":
         n = problem.n
-        A = problem.A.tocsc()
+        A = problem.A
         v0 = problem.B[:, 0].astype(np.result_type(A.dtype, float))
         if np.linalg.norm(v0) == 0:
             v0 = np.ones(n, dtype=v0.dtype)
@@ -219,68 +251,32 @@ def penzl_shifts(problem, m=10, m1=20, m2=10, mode="on_A",
         ritz_op, br1 = _arnoldi_ritz(lambda x: A @ x, v0, min(m1, n))
         ritz_inv, br2 = _arnoldi_ritz(lu.solve, v0, min(m2, n))
         ritz = np.concatenate([ritz_op, 1.0 / ritz_inv[ritz_inv != 0]])
-        mirrored = [-np.conj(z) for z in ritz]
+        mirrored = -np.conj(ritz)
     elif mode == "on_H":
         matvec, invvec = _hamiltonian_ops(problem)
         v0 = np.ones(2 * problem.n, dtype=np.result_type(problem.A.dtype,
                                                           float))
         ritz_op, br1 = _arnoldi_ritz(matvec, v0, min(m1, 2 * problem.n))
         ritz_inv, br2 = _arnoldi_ritz(invvec, v0, min(m2, 2 * problem.n))
-        mirrored = list(np.concatenate([ritz_op, 1.0 / ritz_inv[ritz_inv != 0]]))
+        mirrored = np.concatenate([ritz_op, 1.0 / ritz_inv[ritz_inv != 0]])
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if br1 or br2:
         notes.append("arnoldi breakdown; candidate set may be small")
 
-    spectrum = _dedupe(_realify_scalar(z) for z in mirrored if z.real > 0)
-    if not spectrum:
+    spectrum = _dedupe(_realify(mirrored[mirrored.real > 0]))
+    if not spectrum.size:
         raise ValueError("no Ritz-derived candidates with positive real part")
     if candidate_pool is not None:
-        pool = _dedupe(_realify_scalar(z) for z in candidate_pool if complex(z).real > 0)
-        if not pool:
+        pool = np.asarray(candidate_pool, dtype=complex).ravel()
+        pool = _dedupe(_realify(pool[pool.real > 0]))
+        if not pool.size:
             raise ValueError("candidate_pool has no entries with positive real part")
     else:
-        pool = list(spectrum)
+        pool = spectrum
 
-    def grab(z, remaining):
-        """Take z (and its conjugate partner when complex) out of remaining.
-        A pair comes out with its positive imaginary part first, whichever
-        member was picked (a tie between the two falls to list order)."""
-        out = [z]
-        remaining.remove(z)
-        if abs(z.imag) > _REAL_TOL * (1.0 + abs(z)):
-            partner = None
-            for w in remaining:
-                if abs(w - np.conj(z)) <= 1e-8 * (1.0 + abs(z)):
-                    partner = w
-                    break
-            remaining[:] = [w for w in remaining if w is not partner]
-            out.append(np.conj(z) if partner is None else partner)
-            out.sort(key=lambda w: -w.imag)
-        return out
-
-    remaining = list(pool)
-    seed = min(remaining, key=lambda c: rational_objective([c], spectrum))
-    chosen = grab(seed, remaining)
-
-    def growth_score(t):
-        val = 1.0
-        for a in chosen:
-            val *= abs(t - np.conj(a)) / abs(t + a)
-        return val
-
-    while len(chosen) < m and remaining:
-        best = max(remaining, key=growth_score)
-        is_complex = abs(best.imag) > _REAL_TOL * (1.0 + abs(best))
-        if is_complex and m - len(chosen) == 1:
-            reals = [t for t in remaining
-                     if abs(t.imag) <= _REAL_TOL * (1.0 + abs(t))]
-            if reals:
-                best = max(reals, key=growth_score)
-            else:
-                notes.append("appended a conjugate pair into the last slot")
-        chosen.extend(grab(best, remaining))
-
+    chosen, greedy_notes = _greedy_shifts(spectrum, pool, m)
+    notes.extend(greedy_notes)
     if len(chosen) < m:
         notes.append(f"only {len(chosen)} distinct candidates available")
         warnings.warn(
@@ -290,6 +286,72 @@ def penzl_shifts(problem, m=10, m1=20, m2=10, mode="on_A",
     return ShiftSequence(tuple(chosen),
                          origin="penzl_A" if mode == "on_A" else "penzl_H",
                          notes=tuple(notes))
+
+
+def _greedy_shifts(spectrum, pool, m):
+    """The greedy pass of ``penzl_shifts`` over the candidates ``pool``,
+    scored on ``spectrum`` (both complex arrays as ``_dedupe`` leaves them):
+    returns (chosen shifts, notes).
+
+    The scores are arrays over the whole pool that pick what the scalar
+    loops did (the oracles in the tests): the seed is the first minimum of
+    ``rational_objective([c], spectrum)``, and a growth score is built
+    factor by factor in the order of the chosen shifts, each factor a
+    quotient of libm hypot distances as Python's abs computes them.
+    """
+    size = np.hypot(pool.real, pool.imag)
+    is_real = np.abs(pool.imag) <= _REAL_TOL * (1.0 + size)
+    remaining = np.ones(pool.size, dtype=bool)
+    notes = []
+
+    def grab(i):
+        """Take candidate i (and its conjugate partner when complex) out of
+        the remaining ones. A pair comes out with its positive imaginary
+        part first, whichever member was picked (a tie between the two falls
+        to pool order)."""
+        z = pool[i]
+        out = [z]
+        remaining[i] = False
+        if not is_real[i]:
+            gap = pool - np.conj(z)
+            near = remaining & (np.hypot(gap.real, gap.imag)
+                                <= 1e-8 * (1.0 + size[i]))
+            if near.any():
+                partner = int(np.argmax(near))
+                remaining[partner] = False
+                out.append(pool[partner])
+            else:
+                out.append(np.conj(z))
+            out.sort(key=lambda w: -w.imag)
+        return out
+
+    # rational_objective([c], spectrum) of every candidate c, to be minimized
+    denom = np.abs(spectrum + pool[:, None])
+    bad = denom <= 1e-13 * (1.0 + np.abs(spectrum) + size[:, None])
+    if bad.any():
+        c, k = np.argwhere(bad)[0]
+        raise ValueError(f"spectrum point {spectrum[k]} coincides with the "
+                         f"pole of shift {pool[c]}")
+    objective = (np.abs(spectrum - pool.conj()[:, None]) / denom).max(axis=1)
+    chosen = grab(_first_max(-objective))
+
+    score = np.ones(pool.size)
+    scored = 0
+    while len(chosen) < m and remaining.any():
+        for a in chosen[scored:]:
+            num, den = pool - np.conj(a), pool + a
+            score *= np.hypot(num.real, num.imag) / np.hypot(den.real, den.imag)
+        scored = len(chosen)
+        left = np.flatnonzero(remaining)
+        best = left[_first_max(score[left])]
+        if not is_real[best] and m - len(chosen) == 1:
+            reals = left[is_real[left]]
+            if reals.size:
+                best = reals[_first_max(score[reals])]
+            else:
+                notes.append("appended a conjugate pair into the last slot")
+        chosen.extend(grab(best))
+    return chosen, notes
 
 
 def projected_ritz(basis, problem, current_solution=None, mode="plain"):
@@ -378,10 +440,9 @@ def _mirrored_ritz_pole(theta, existing_poles=()) -> complex:
             )
             return complex(existing_poles[-1])
         raise ValueError("no stable Ritz values and no previous pole to reuse")
-    mu = _dedupe(_realify_scalar(-np.conj(z)) for z in stable)
+    mu = _dedupe(_realify(-np.conj(stable)))
     if len(mu) == 1:
         return _realify_scalar(mu[0])
-    mu = np.array(mu)
     cands = _hull_candidates(mu)
     # |c - z| as Python's abs of a complex computes it (libm hypot), which
     # numpy's abs of a complex array does not always match to the last bit

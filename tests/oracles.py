@@ -136,7 +136,7 @@ def _realified(z):
         else z
 
 
-def _distinct(points, tol=1e-8):
+def reference_dedupe(points, tol=1e-8):
     """The points in order, less each one within tol (1 + |z|) of one kept
     before it."""
     kept = []
@@ -155,7 +155,7 @@ def _reference_candidates(mu):
         return [complex(x) for lo, hi in zip(xs[:-1], xs[1:])
                 if hi - lo > 1e-14 * (1.0 + abs(hi))
                 for x in np.linspace(lo, hi, 34)[1:-1]]
-    pts = _distinct(mu + [np.conj(z) for z in mu])
+    pts = reference_dedupe(mu + [np.conj(z) for z in mu])
     coords = np.array([[z.real, z.imag] for z in pts])
     try:
         from scipy.spatial import ConvexHull
@@ -179,7 +179,7 @@ def reference_pole_scores(theta, existing_poles=()):
     prod |s - alpha_i| / prod |s - mu_j| over the previous poles alpha_i,
     or with none, minus max_j |mu_j - conj(s)| / |mu_j + s|."""
     stable = [z for z in np.asarray(theta) if z.real < 0]
-    mu = _distinct(_realified(-np.conj(z)) for z in stable)
+    mu = reference_dedupe(_realified(-np.conj(z)) for z in stable)
     if len(mu) < 2:
         return mu, []
     cands = [c for c in _reference_candidates(mu)
@@ -214,3 +214,65 @@ def reference_mirrored_ritz_pole(theta, existing_poles=()):
     if not scored:
         return mu[0]
     return _realified(max(scored, key=lambda cs: cs[1])[0])
+
+
+def reference_greedy_shifts(spectrum, pool, m):
+    """Penzl's greedy pass over the candidates pool, scored on spectrum, one
+    candidate at a time in scalar arithmetic: (chosen shifts, notes).
+
+    The seed is the first candidate c of least max |lam - conj(c)| /
+    |lam + c| over the spectrum (numpy's abs over the spectrum array), and
+    a pole of the seed objective on the spectrum raises ValueError. Each
+    further shift is the first remaining candidate t of largest
+    prod |t - conj(a)| / |t + a| over the shifts a chosen so far. A complex
+    pick brings its conjugate partner (or its exact conjugate, when no
+    candidate is within 1e-8 of it), positive imaginary part first; in the
+    last slot the best real candidate is taken instead of a complex one,
+    and with none the pair is appended with a note."""
+    lam = np.array([complex(z) for z in spectrum])
+    remaining = [complex(z) for z in pool]
+    notes = []
+
+    def is_real(z):
+        return abs(z.imag) <= 1e-10 * (1.0 + abs(z))
+
+    def grab(z):
+        out = [z]
+        remaining.remove(z)
+        if not is_real(z):
+            partner = None
+            for w in remaining:
+                if abs(w - np.conj(z)) <= 1e-8 * (1.0 + abs(z)):
+                    partner = w
+                    break
+            remaining[:] = [w for w in remaining if w is not partner]
+            out.append(np.conj(z) if partner is None else partner)
+            out.sort(key=lambda w: -w.imag)
+        return out
+
+    def seed_objective(c):
+        denom = np.abs(lam + c)
+        if np.any(denom <= 1e-13 * (1.0 + np.abs(lam) + abs(c))):
+            raise ValueError(f"the seed objective of {c} has a pole on the "
+                             f"spectrum")
+        return float((np.ones(lam.shape)
+                      * (np.abs(lam - np.conj(c)) / denom)).max())
+
+    chosen = grab(min(remaining, key=seed_objective))
+
+    def growth_score(t):
+        val = 1.0
+        for a in chosen:
+            val *= abs(t - np.conj(a)) / abs(t + a)
+        return val
+
+    while len(chosen) < m and remaining:
+        best = max(remaining, key=growth_score)
+        if not is_real(best) and m - len(chosen) == 1:
+            reals = [t for t in remaining if is_real(t)]
+            if reals:
+                best = max(reals, key=growth_score)
+            else:
+                notes.append("appended a conjugate pair into the last slot")
+        chosen.extend(grab(best))
+    return chosen, notes

@@ -191,6 +191,28 @@ def test_sep_estimate_matches_exact(n, seed):
     assert exact * (1 - 1e-12) <= est <= exact * (1 + r ** 80 + 1e-12)
 
 
+def _close_sep_blocks():
+    # the two smallest singular values of this problem's Sylvester operator
+    # are in ratio 0.97, so a fixed 40 power steps stop 7e-4 above sep
+    an = analyze_hamiltonian(random_stable_problem(5, 1, 1, seed=5), [1.0])
+    return an.T11, an.T22
+
+
+def test_sep_estimate_runs_to_convergence():
+    T11, T22 = _close_sep_blocks()
+    exact = sep_exact(T11, T22)
+    assert abs(sep_estimate(T11, T22) - exact) <= 1e-9 * exact
+
+
+def test_sep_estimate_warns_at_its_cap():
+    T11, T22 = _close_sep_blocks()
+    with pytest.warns(RuntimeWarning, match="last relative change"):
+        est = sep_estimate(T11, T22, iters=5)
+    assert est > sep_exact(T11, T22)
+    with pytest.raises(ValueError, match="iters"):
+        sep_estimate(T11, T22, iters=0)
+
+
 def test_analysis_estimates_sep_above_60(monkeypatch):
     calls = []
 

@@ -16,13 +16,18 @@ from riccati_si import (
 from riccati_si.problems import CareProblem
 from riccati_si.shifts import (
     _arnoldi_ritz,
+    _dedupe,
+    _greedy_shifts,
     _hull_candidates,
     _mirrored_ritz_pole,
+    _realify,
 )
 import scipy.sparse as sp
 
 from oracles import (
     brute_force_objective,
+    reference_dedupe,
+    reference_greedy_shifts,
     reference_mirrored_ritz_pole,
     reference_pole_scores,
 )
@@ -193,6 +198,181 @@ class TestPenzl:
         with pytest.warns(UserWarning, match="candidates"):
             s = penzl_shifts(p, m=4, m1=2, m2=2)
         assert len(s) == 2  # only two distinct Ritz values exist
+
+
+def _arnoldi_basis(A, v0, steps):
+    """Ritz values, breakdown flag and the basis vectors of an Arnoldi run
+    with A, read off the vectors it multiplies."""
+    rows = []
+
+    def matvec(x):
+        rows.append(x.copy())
+        return A @ x
+
+    ritz, broke = _arnoldi_ritz(matvec, v0, steps)
+    return ritz, broke, np.array(rows)
+
+
+def _same_points(got, want, tol):
+    gap = np.abs(np.asarray(got)[:, None] - np.asarray(want)[None, :])
+    return gap.min(axis=0).max() <= tol and gap.min(axis=1).max() <= tol
+
+
+class TestArnoldi:
+    def test_basis_orthonormal_on_nonnormal_matrix(self):
+        rng = np.random.default_rng(0)
+        n = 200
+        A = np.triu(rng.standard_normal((n, n)), 1) * 5.0 - np.diag(
+            rng.uniform(1.0, 100.0, n))
+        _, broke, V = _arnoldi_basis(A, rng.standard_normal(n), 40)
+        assert not broke and V.shape == (40, n)
+        assert np.abs(V @ V.T - np.eye(40)).max() <= 1e-13
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_full_run_gives_eigenvalues(self, dtype):
+        rng = np.random.default_rng(1)
+        n = 30
+        A = rng.standard_normal((n, n)) / np.sqrt(n) - 2.0 * np.eye(n)
+        v0 = rng.standard_normal(n)
+        if dtype is complex:
+            A = A + 1j * rng.standard_normal((n, n)) / np.sqrt(n)
+            v0 = v0 + 1j * rng.standard_normal(n)
+        ritz, _, V = _arnoldi_basis(A, v0, n)
+        assert V.dtype == np.dtype(dtype) and len(ritz) == n
+        assert np.abs(V @ V.conj().T - np.eye(n)).max() <= 1e-13
+        assert _same_points(ritz, np.linalg.eigvals(A), 1e-10)
+
+    def test_breakdown_on_invariant_subspace(self):
+        # a start vector in the span of the first three coordinates, which
+        # A maps into itself: the fourth vector vanishes
+        rng = np.random.default_rng(2)
+        A = np.zeros((12, 12))
+        A[:3, :3] = rng.standard_normal((3, 3)) - 3.0 * np.eye(3)
+        A[3:, 3:] = rng.standard_normal((9, 9))
+        A[:3, 3:] = rng.standard_normal((3, 9))
+        v0 = np.zeros(12)
+        v0[:3] = rng.standard_normal(3)
+        ritz, broke, V = _arnoldi_basis(A, v0, 8)
+        assert broke and len(V) == 3 and len(ritz) == 3
+        assert _same_points(ritz, np.linalg.eigvals(A[:3, :3]), 1e-12)
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _points_with_near_ties(draw):
+    """Complex points with copies of some of them planted at distances
+    around the 1e-8 (1 + |z|) tolerance of ``_dedupe``: inside, on and just
+    outside it."""
+    pts = draw(st.lists(st.complex_numbers(max_magnitude=1e4, **_finite),
+                        min_size=1, max_size=12))
+    for _ in range(draw(st.integers(0, 10))):
+        z = draw(st.sampled_from(pts))
+        scale = draw(st.sampled_from([0.0, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6,
+                                      1.5, 2.0]))
+        angle = draw(st.floats(0.0, 2.0 * np.pi))
+        step = scale * 1e-8 * (1.0 + abs(z))
+        pts.insert(draw(st.integers(0, len(pts))),
+                   z + step * complex(np.cos(angle), np.sin(angle)))
+    return pts
+
+
+def _all_bits(values):
+    return [_bits(v) for v in values]
+
+
+class TestDedupeMatchesReference:
+    @given(_points_with_near_ties())
+    def test_bitwise_equal(self, points):
+        assert _all_bits(_dedupe(points)) == _all_bits(reference_dedupe(points))
+
+    def test_keeps_a_point_whose_close_neighbour_was_dropped(self):
+        # b is within the tolerance of a and c of b, but c is not of a: b
+        # goes, and so c stays
+        a = 1.0
+        b = a + 0.9e-8 * 2.0
+        c = b + 0.9e-8 * 2.0
+        assert list(_dedupe([a, b, c])) == [a, c] == reference_dedupe([a, b, c])
+
+
+def _greedy_case(seed, k):
+    """Mirrored Ritz values of a seeded real matrix as ``penzl_shifts``
+    leaves them: conjugate pairs and real points in the right half-plane."""
+    theta = _real_matrix_ritz(seed, k)
+    return _dedupe(_realify(-np.conj(theta[theta.real < 0])))
+
+
+class TestGreedyMatchesReference:
+    """The array greedy pass of ``penzl_shifts`` against the scalar loops in
+    ``oracles``: the shifts must agree to the bit."""
+
+    @staticmethod
+    def check(spectrum, pool, m):
+        got, notes = _greedy_shifts(spectrum, pool, m)
+        want, want_notes = reference_greedy_shifts(spectrum, pool, m)
+        assert _all_bits(got) == _all_bits(want)
+        assert notes == want_notes
+        return got, notes
+
+    def test_seeded_spectra(self):
+        rng = np.random.default_rng(4)
+        for trial in range(200):
+            spectrum = _greedy_case(trial, int(rng.integers(2, 30)))
+            if trial % 3 == 0:
+                pool = _dedupe(_realify(np.concatenate([
+                    rng.uniform(0.05, 8.0, 20),
+                    rng.uniform(0.05, 8.0, 5) + 1j * rng.uniform(0.1, 3.0, 5),
+                ])))
+            else:
+                pool = spectrum
+            self.check(spectrum, pool, int(rng.integers(1, 13)))
+
+    def test_ties_decided_by_rounding(self):
+        # sets closed under t -> 1/t and conjugation: after the seed 1, t and
+        # 1/t score the same in exact arithmetic, so each pick between them
+        # rests on the rounding of the products, factor by factor
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            k = np.exp(rng.uniform(0.1, 5.0, 8))
+            z = np.exp(rng.uniform(0.1, 3.0, 3) + 1j * rng.uniform(0.1, 1.2, 3))
+            pts = np.concatenate([[1.0], k, 1 / k, z, z.conj(), 1 / z,
+                                  1 / z.conj()])
+            pool = _dedupe(_realify(rng.permutation(pts)))
+            for m in (6, 10, 14):
+                self.check(pool, pool, m)
+
+    @pytest.mark.parametrize("pool, first", [([1.0, 2.0, 0.5], 2.0),
+                                             ([1.0, 0.5, 2.0], 0.5)])
+    def test_tie_goes_to_pool_order(self, pool, first):
+        # seed 1 (the geometric mean of the spectrum {0.5, 2}); then 2 and
+        # 0.5 both score exactly 1/3, and the first in the pool wins
+        got, _ = self.check(np.array([0.5, 2.0], dtype=complex),
+                            np.array(pool, dtype=complex), 2)
+        assert got == [1.0, first]
+
+    def test_last_slot_takes_a_real_shift(self):
+        # after the seed 10 the pair 10 +- 50j is least damped; it is taken
+        # with two slots left, but a real shift fills a single one
+        spectrum = np.array([1.0, 10.0, 100.0, 10.0 + 50.0j, 10.0 - 50.0j])
+        got, notes = self.check(spectrum, spectrum, 3)
+        assert got == [10.0, 10.0 + 50.0j, 10.0 - 50.0j] and notes == []
+        got, notes = self.check(spectrum, spectrum, 2)
+        assert got == [10.0, 1.0] and notes == []
+
+    def test_last_slot_without_a_real_shift_takes_the_pair(self):
+        spectrum = np.array([1.0, 3.0 + 4.0j, 3.0 - 4.0j])
+        got, notes = self.check(spectrum, spectrum, 2)
+        assert got == [1.0, 3.0 + 4.0j, 3.0 - 4.0j]
+        assert notes == ["appended a conjugate pair into the last slot"]
+
+    def test_coinciding_pole_raises(self):
+        spectrum = np.array([1e-15 + 1.0j])
+        pool = np.array([1e-15 - 1.0j])
+        with pytest.raises(ValueError, match="pole"):
+            _greedy_shifts(spectrum, pool, 1)
+        with pytest.raises(ValueError, match="pole"):
+            reference_greedy_shifts(spectrum, pool, 1)
 
 
 class TestProjectedRitz:
