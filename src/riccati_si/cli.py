@@ -207,7 +207,7 @@ def _build_shifts(cfg: RunConfig, problem: CareProblem):
             doc = doc["shifts"]
         shifts = ShiftSequence.from_json(json.dumps(doc))
     if cfg.solver == "rksm" and problem.A.dtype.kind != "c":
-        _check_pairs(shifts)
+        _check_pairs(shifts.values)
     return shifts
 
 

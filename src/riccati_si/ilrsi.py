@@ -25,14 +25,15 @@ ordering. ``sparse_lu`` makes
 the same choice for the one-off factors of A in ``shifts``.
 
 The factors of a fixed shift list do not depend on each other, so
-``ilrsi_solve`` names the next shift of its list at every step
-(``next_alpha``). When the current shift needs a new factor, the solver
-starts the next shift's factor on a single worker thread and factors the
-current one on the calling thread, so the distinct shifts are factored two
-at a time with the same factors and iterates. A SuperLU factor must be
-freed on the thread that made it (dropped on another thread, its memory is
-never returned), so ``ShiftedSolver.close`` drops the worker's factors on
-the worker before it stops it, and ``ilrsi_solve`` calls it on every exit.
+``ilrsi_solve`` gives the solver the list it cycles. When a solve needs a
+new factor, the solver starts the factor of the first list shift that
+still needs one on a single worker thread and factors the current shift on
+the calling thread, so the distinct shifts are factored two at a time with
+the same factors and iterates. A SuperLU factor must be freed on the
+thread that made it (dropped on another thread, its memory is never
+returned), so ``ShiftedSolver.close`` drops the worker's factors on the
+worker before it stops it, and ``ilrsi_solve`` runs inside the solver's
+``with`` block. ``ilrsi_init`` and ``ilrsi_step`` never start a worker.
 """
 
 from __future__ import annotations
@@ -342,35 +343,33 @@ class ShiftedSolver:
     factor to a complex right-hand side, so such a right-hand side is solved
     as its real and imaginary parts side by side.
 
-    A caller that knows its next shift passes it as ``next_alpha``. When
-    alpha needs a new factor, the factor of next_alpha is started on a
-    single worker thread while alpha is factored on the calling thread.
-    Nothing is started when next_alpha needs no new factor (it has one, is
-    being factored, or, on real data, its conjugate has or is), equals
-    alpha, or on real data is alpha's conjugate, which alpha's factor
-    serves. The factors made are thus those of the same solves without
-    ``next_alpha``, plus the last next shift if no solve follows. There is
-    no worker on a host with one CPU, and none until a next shift is
-    named. A SuperLU factor must be freed on the thread that made it:
-    dropped on any other thread, its memory is never returned. ``close``
-    drops the worker's factors in a task on the worker and then stops it,
-    and a caller that passes ``next_alpha`` calls it when done. The solver
-    stays usable after ``close``; it refactors what the worker made.
+    The caller passes the shift list it cycles as ``cycle``, which decides
+    both how long a factor is held and what is factored ahead. With a list
+    (the default is the empty one), every factor stays, since any shift may
+    come back. When a solve needs a new factor, the factor of the first list
+    shift that still needs one is started on a single worker thread while
+    the current shift is factored on the calling thread. That shift is never
+    the current one nor, on real data, its conjugate, which the current
+    factor serves; a shift needs no new factor when it has one, is being
+    factored, or, on real data, its conjugate has or is. So the factors
+    made are those of the same solves one at a time, plus the ones started
+    for list shifts that no later solve uses. There is no worker on a host
+    with one CPU, and none until a factor is started. A SuperLU factor must
+    be freed on the thread that made it: dropped on any other thread, its
+    memory is never returned. ``close``, which the solver's ``with`` block
+    calls on exit, drops the worker's factors in a task on the worker and
+    then stops it. The solver stays usable after ``close``; it refactors
+    what the worker made.
 
-    A factor is held only while a later solve can use it, which the caller
-    says with ``cycled``. A caller that cycles a fixed shift list
-    (``ilrsi_solve``, the ilrsi step functions, rksm with a pole list)
-    keeps the default, and every factor stays: any shift may come back. A
-    caller that picks each shift as it goes (adaptive rksm) passes
-    ``cycled=False``: then only the factor serving the latest solve is
-    held (on real data, one complex factor serves a conjugate pair), and a
-    solve with a shift it does not serve drops it before the new factor is
-    made. A shift that comes back later is factored again, which gives the
-    same factor. Such a solver takes no ``next_alpha`` (ValueError), so it
-    has no worker and every factor it drops was made on the calling
-    thread."""
+    A caller that picks each shift as it goes (adaptive rksm) passes
+    ``cycle=None``: then only the factor serving the latest solve is held
+    (on real data, one complex factor serves a conjugate pair), a solve
+    with a shift it does not serve drops it before the new factor is made,
+    and nothing is factored ahead, so every factor is made and dropped on
+    the calling thread. A shift that comes back later is factored again,
+    which gives the same factor."""
 
-    def __init__(self, problem: CareProblem, cycled=True):
+    def __init__(self, problem: CareProblem, cycle=()):
         E = problem.E
         self.n = problem.n
         self.dtype = _data_dtype(problem)
@@ -382,7 +381,8 @@ class ShiftedSolver:
             kl, ku = self.factor_path[1:]
             self._band_A = _band(-self.Astar, kl, ku)
             self._band_E = None if E is None else _band(self.Estar, kl, ku)
-        self.cycled = cycled
+        self._cycle = None if cycle is None else \
+            tuple(complex(s) for s in cycle)
         self.cache = {}
         self._pending = {}  # shift -> future of its factor on the worker
         self._worker = None
@@ -432,11 +432,13 @@ class ShiftedSolver:
             self._worker_made.append(key)
         return self.cache.get(key)
 
-    def _factor_ahead(self, key, current):
-        """Start the factor of key on the worker, unless the pairing rule
-        (class docstring) skips it."""
-        if self._has(key) or key == current or \
-                (self.dtype.kind != "c" and key == current.conjugate()):
+    def _factor_ahead(self, current):
+        """Start the factor of the first list shift that needs one, other
+        than the current shift and the shifts it serves, on the worker."""
+        skip = self._serving(current)
+        key = next((k for k in self._cycle
+                    if k not in skip and not self._has(k)), None)
+        if key is None:
             return
         if self._worker is None:
             if _cpu_count() < 2:
@@ -453,7 +455,7 @@ class ShiftedSolver:
         def release():
             for key in self._worker_made:
                 self.cache.pop(key, None)
-            # next shifts never solved with: their factors go unused
+            # list shifts started but never solved with
             self._pending.clear()
 
         self._worker.submit(release).result()
@@ -461,18 +463,21 @@ class ShiftedSolver:
         self._worker = None
         self._worker_made = []
 
-    def solve(self, alpha, rhs, next_alpha=None):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def solve(self, alpha, rhs):
         key = complex(alpha)
-        if not self.cycled:
-            if next_alpha is not None:
-                raise ValueError("a solver with cycled=False factors one "
-                                 "shift at a time; next_alpha is not taken")
+        if self._cycle is None:
             serving = self._serving(key)
             self.cache = {k: lu for k, lu in self.cache.items()
                           if k in serving}
         if not self._has(key):
-            if next_alpha is not None:
-                self._factor_ahead(complex(next_alpha), key)
+            if self._cycle:
+                self._factor_ahead(key)
             self.cache[key] = self._make(key)
         lu = self._lookup(key)
         if lu is None:  # real data, and the conjugate's factor serves
@@ -509,12 +514,12 @@ class IlrsiState:
     def solution(self) -> LowRankSolution:
         """X = Q (R T^{-1} R*) Q*, compressed to its numerical rank."""
         R = self.basis.R
-        return LowRankSolution.from_basis(
-            self.basis.Q, R @ block_diag(*self.Y_inv) @ R.conj().T,
-            self.shifts_used)
+        if self.Y_inv:  # else no step was taken, and R is empty
+            R = R @ block_diag(*self.Y_inv) @ R.conj().T
+        return LowRankSolution.from_basis(self.basis.Q, R, self.shifts_used)
 
 
-def ilrsi_step(state: IlrsiState, alpha, next_alpha=None) -> IlrsiState:
+def ilrsi_step(state: IlrsiState, alpha) -> IlrsiState:
     """Advance the iteration by one shift, in residual-factor form:
 
         v_k   = -2 a_k (-A* + alpha_k E* + K B*)^{-1} R_{k-1}
@@ -524,9 +529,7 @@ def ilrsi_step(state: IlrsiState, alpha, next_alpha=None) -> IlrsiState:
 
     The closed-loop solve is one cached solve with [R, K] and a q x q
     Woodbury correction. v_k joins the thin QR of V, and Y_k^{-1} the
-    inverse blocks of T. next_alpha, the shift of the next step if known,
-    lets ``state.shifted`` factor it ahead on a worker thread; a caller
-    that passes it calls ``state.shifted.close()`` when done.
+    inverse blocks of T.
     """
     alpha = complex(alpha)
     a = alpha.real
@@ -535,8 +538,7 @@ def ilrsi_step(state: IlrsiState, alpha, next_alpha=None) -> IlrsiState:
     p = state.problem.p
     Bh = state.problem.B.conj().T
     S = state.shifted.solve(alpha,
-                            np.hstack([state.residual_factor, state.K]),
-                            next_alpha)
+                            np.hstack([state.residual_factor, state.K]))
     SR, SK = S[:, :p], S[:, p:]
     try:
         corr = np.linalg.solve(np.eye(SK.shape[1]) + Bh @ SK, Bh @ SR)
@@ -565,30 +567,29 @@ def ilrsi_step(state: IlrsiState, alpha, next_alpha=None) -> IlrsiState:
     return state
 
 
-def ilrsi_init(problem: CareProblem, alpha1, next_alpha=None) -> IlrsiState:
-    """First step from R_0 = C*, K_0 = 0: v_1 = -2 a_1 (-A* + alpha_1 E*)^{-1}
-    C* and Y_1 = 2 a_1 I + (1 / 2 a_1) (B* v_1)* (B* v_1).
-
-    The state is float64 when A and E are real (B and C always are).
-    next_alpha is as in ``ilrsi_step``; if the first step raises, the
-    solver it made is closed here."""
-    n = problem.n
-    shifted = ShiftedSolver(problem)
+def _initial_state(problem: CareProblem, shifted: ShiftedSolver):
+    """The state before the first step: R_0 = C*, K_0 = 0 and an empty
+    basis, in the dtype of the data."""
     dtype = shifted.dtype
-    state = IlrsiState(
+    return IlrsiState(
         problem=problem,
-        basis=_BasisQR(n, dtype),
+        basis=_BasisQR(problem.n, dtype),
         Y_inv=[],
         residual_factor=problem.C.conj().T.astype(dtype),
-        K=np.zeros((n, problem.q), dtype=dtype),
+        K=np.zeros((problem.n, problem.q), dtype=dtype),
         shifts_used=[],
         shifted=shifted,
     )
-    try:
-        return ilrsi_step(state, alpha1, next_alpha)
-    except BaseException:
-        shifted.close()
-        raise
+
+
+def ilrsi_init(problem: CareProblem, alpha1) -> IlrsiState:
+    """First step from R_0 = C*, K_0 = 0: v_1 = -2 a_1 (-A* + alpha_1 E*)^{-1}
+    C* and Y_1 = 2 a_1 I + (1 / 2 a_1) (B* v_1)* (B* v_1).
+
+    The state is float64 when A and E are real (B and C always are). Its
+    solver keeps every factor and factors one shift at a time on the
+    calling thread, so it starts no worker and needs no ``close``."""
+    return ilrsi_step(_initial_state(problem, ShiftedSolver(problem)), alpha1)
 
 
 def residual_norm(problem: CareProblem, residual_factor) -> float:
@@ -613,9 +614,9 @@ def ilrsi_solve(problem: CareProblem, shifts, *, tol=1e-8, max_iter=100,
     iterate.
 
     Returns (solution, history). A breakdown is re-raised with the partial
-    history attached. Each step names the next shift of the list, so the
-    shifted solver factors it ahead on a worker thread (``ShiftedSolver``);
-    the worker is stopped on every exit.
+    history attached. The shifted solver is given the shifts the run can
+    use, so it factors them two at a time (``ShiftedSolver``), and its
+    worker is stopped on every exit.
     """
     shift_list = [complex(s) for s in shifts]
     if not shift_list:
@@ -624,40 +625,31 @@ def ilrsi_solve(problem: CareProblem, shifts, *, tol=1e-8, max_iter=100,
     if tol <= 0:
         raise ValueError("tol must be positive")
     max_iter = int(max_iter)
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     rank_tol = 1e-12 if truncation_tol is None else float(truncation_tol)
     if not 0.0 < rank_tol < 1.0:
         raise ValueError(f"truncation_tol must be in (0, 1), got {rank_tol}")
 
     history = ConvergenceHistory()
-    if max_iter == 0:
-        history.status = "max_iter"
-        dtype = _data_dtype(problem)
-        empty = LowRankSolution.from_basis(np.zeros((problem.n, 0), dtype),
-                                           np.zeros((0, 0), dtype), ())
-        return empty, history
-
     cc_norm = float(np.linalg.norm(problem.C @ problem.C.conj().T))
-    state = None
-    try:
-        for it in range(1, max_iter + 1):
-            alpha = shift_list[(it - 1) % len(shift_list)]
-            nxt = shift_list[it % len(shift_list)] if it < max_iter else None
-            state = ilrsi_init(problem, alpha, nxt) if state is None \
-                else ilrsi_step(state, alpha, nxt)
-            rel = residual_norm(problem, state.residual_factor) / cc_norm
-            history.append(it, dim=state.dim, rank=state.basis.rank(rank_tol),
-                           rel_residual=rel)
-            if rel <= tol:
-                history.status = "converged"
-                break
-        else:
-            history.status = "max_iter"
-    except SolverBreakdown as exc:
-        history.status = "breakdown"
-        exc.history = history
-        raise
-    finally:
-        if state is not None:
-            state.shifted.close()
-
+    with ShiftedSolver(problem, shift_list[:max_iter]) as shifted:
+        state = _initial_state(problem, shifted)
+        try:
+            for it in range(1, max_iter + 1):
+                state = ilrsi_step(state,
+                                   shift_list[(it - 1) % len(shift_list)])
+                rel = residual_norm(problem, state.residual_factor) / cc_norm
+                history.append(it, dim=state.dim,
+                               rank=state.basis.rank(rank_tol),
+                               rel_residual=rel)
+                if rel <= tol:
+                    history.status = "converged"
+                    break
+            else:
+                history.status = "max_iter"
+        except SolverBreakdown as exc:
+            history.status = "breakdown"
+            exc.history = history
+            raise
     return state.solution, history

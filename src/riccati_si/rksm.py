@@ -7,20 +7,19 @@ ilrsi uses (``_BasisQR``): each resolvent block is added with one
 ``_BasisQR.add``, and a direction is dropped (deflated) when
 orthogonalization leaves at most 1e-10 of that column's own norm, so the
 decision does not depend on the scale of C. The resolvent solves go through
-the shifted-solve service the incremental iteration uses
-(``ShiftedSolver``), which keeps every factor of a pole list but only the
-latest factor of adaptive poles. On real data the whole run stays in real
-arithmetic: a real pole gets a real factor, and a complex pole is taken
-with its conjugate in one step, as in the real ADI step for a conjugate
-shift pair.
-The conjugate pole's block is the conjugate of the pole's block v, so one
-complex solve gives both, and [Re v, Im v] spans them. U, the projected
-matrices and the projected equations are then real, and ``care_solve_dense``
-solves those through the real Schur form. Complex data takes one pole per
-step. Adaptive poles after the first come from the eigenvalues of the
-projected matrices the loop already holds, not from products with the
-basis. The residual norm comes from its block split along U and its
-complement (``ResidualTracker``).
+ilrsi's ``ShiftedSolver``, given a pole list as the list the run cycles
+(every factor held, two factored at a time) and ``None`` for adaptive
+poles (only the latest factor held). On real data the whole run stays in
+real arithmetic: a real pole gets a real factor, and a complex pole is
+taken with its conjugate in one step, as in the real ADI step for a
+conjugate shift pair. The conjugate pole's block is the conjugate of the
+pole's block v, so one complex solve gives both, and [Re v, Im v] spans
+them. U, the projected matrices and the projected equations are then real,
+and ``care_solve_dense`` solves those through the real Schur form. Complex
+data takes one pole per step. Adaptive poles after the first come from the
+eigenvalues of the projected matrices the loop already holds, not from
+products with the basis. The residual norm comes from its block split
+along U and its complement (``ResidualTracker``).
 
 build_distinct_basis assembles the same space (with the same solves) in its
 distinct-shift normal form V = [(-A*+a_1 I)^{-1}C*, ...] together with the
@@ -111,7 +110,7 @@ def build_distinct_basis(problem: CareProblem, shifts) -> DistinctShiftBasisData
     vals = _check_distinct(shifts)
     k = len(vals)
     p = problem.p
-    shifted = ShiftedSolver(problem)
+    shifted = ShiftedSolver(problem, None)  # each shift is solved once
     Cstar = problem.C.conj().T
     V = np.hstack([shifted.solve(a, Cstar) for a in vals])
 
@@ -185,9 +184,9 @@ def check_entrywise_T(data: DistinctShiftBasisData) -> float:
 # ---------------------------------------------------------------------------
 # the solver
 
-def _next_pole(problem, state, strategy, pending, used):
-    """Pick the pole for the next expansion; ``used`` counts the poles
-    taken so far and indexes a pole list, which is cycled.
+def _next_pole(problem, state, strategy, pending):
+    """Pick the adaptive pole for the next expansion (strategy
+    "adaptive_plain" or "adaptive_stabilized").
 
     On real data a complex pole stands for its conjugate pair, which the
     caller takes in the same step, so nothing is queued. On complex data
@@ -200,10 +199,6 @@ def _next_pole(problem, state, strategy, pending, used):
     ``adaptive_pole`` would compute from U. On real data a complex pole and
     its conjugate score the same, so the pair comes with its positive
     imaginary part first, whichever member the scoring returned."""
-    if isinstance(strategy, (ShiftSequence, list, tuple, np.ndarray)):
-        vals = strategy.values if isinstance(strategy, ShiftSequence) else \
-            [complex(s) for s in strategy]
-        return complex(vals[used % len(vals)])
     if pending:
         return pending.pop(0)
     mode = "stabilized" if strategy == "adaptive_stabilized" else "plain"
@@ -222,10 +217,10 @@ def _next_pole(problem, state, strategy, pending, used):
     return pole
 
 
-def _check_pairs(poles):
-    """On real data, a complex pole in a list must sit right before or
-    after its conjugate, so that the loop takes the two in one step."""
-    vals = [complex(s) for s in poles]
+def _check_pairs(vals):
+    """On real data, a complex pole in a list (of complex values) must sit
+    right before or after its conjugate, so that the loop takes the two in
+    one step."""
     i = 0
     while i < len(vals):
         v = vals[i]
@@ -264,28 +259,34 @@ def rksm_solve(problem: CareProblem, pole_strategy, *, tol=1e-8,
     if problem.E is not None:
         raise ValueError("rational Krylov solver supports E = identity only")
     real_data = problem.A.dtype.kind != "c"
-    strategy = pole_strategy
-    if isinstance(strategy, str):
-        if strategy not in ("adaptive_plain", "adaptive_stabilized"):
-            raise ValueError(f"unknown pole strategy {strategy!r}")
+    if isinstance(pole_strategy, str):
+        if pole_strategy not in ("adaptive_plain", "adaptive_stabilized"):
+            raise ValueError(f"unknown pole strategy {pole_strategy!r}")
+        poles = None
         saturation_limit = 3
     else:
-        seq = strategy.values if isinstance(strategy, ShiftSequence) else list(strategy)
-        if not len(seq):
+        poles = tuple(complex(s) for s in (
+            pole_strategy.values if isinstance(pole_strategy, ShiftSequence)
+            else pole_strategy))
+        if not poles:
             raise ValueError("pole sequence must be nonempty")
         if real_data:
-            _check_pairs(seq)
-        saturation_limit = len(seq) + 1
+            _check_pairs(poles)
+        saturation_limit = len(poles) + 1
 
     tol = float(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
     max_iter = int(max_iter)
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
 
     n, p = problem.n, problem.p
-    # adaptive poles are picked as the run goes, so a factor is only held
-    # until a solve needs another one
-    shifted = ShiftedSolver(problem, cycled=not isinstance(strategy, str))
+    # a pole list is cycled, so its factors are held and factored two at a
+    # time; adaptive poles are picked as the run goes, so only the latest
+    # factor is held
+    shifted = ShiftedSolver(problem,
+                            None if poles is None else poles[:max_iter])
     dtype = shifted.dtype
     Cstar = problem.C.conj().T
     cc_norm = float(np.linalg.norm(problem.C @ problem.C.conj().T))
@@ -308,94 +309,100 @@ def rksm_solve(problem: CareProblem, pole_strategy, *, tol=1e-8,
     used = 0
     deflated_in_a_row = 0
 
-    while used < max_iter:
-        pole = _next_pole(problem, state, strategy, pending, used)
-        key = complex(pole)
-        try:
-            raw = shifted.solve(key, chains.get(key, Cstar))
-            if not np.isfinite(raw).all():
-                raise SolverBreakdown(
-                    f"shifted solve produced non-finite values for pole "
-                    f"{key}", shift=key,
-                )
-        except SolverBreakdown as exc:
-            state.history.status = "breakdown"
-            exc.history = state.history
-            raise
-        chains[key] = raw / max(np.linalg.norm(raw), 1e-300)
-        if real_data and key.imag != 0:
-            # the conjugate pole's resolvent block is conj(raw), so
-            # [Re raw, Im raw] spans both blocks in real arithmetic
-            chains[key.conjugate()] = chains[key].conj()
-            raw = np.hstack([raw.real, raw.imag])
-            step_poles = sorted((key, key.conjugate()), key=lambda s: -s.imag)
-        else:
-            step_poles = [key]
-
-        U = state.U
-        state.basis.add(raw)
-        new_cols = state.U[:, U.shape[1]:]
-        if new_cols.shape[1] < raw.shape[1]:
-            warnings.warn(
-                f"deflated {raw.shape[1] - new_cols.shape[1]} dependent "
-                f"direction(s) at pole {step_poles[0]}"
-                + (" and its conjugate" if len(step_poles) == 2 else ""),
-                stacklevel=2,
-            )
-        state.poles.extend(step_poles)
-        used += len(step_poles)
-        if new_cols.shape[1] == 0:
-            deflated_in_a_row += len(step_poles)
-            if deflated_in_a_row >= saturation_limit:
-                # the space stopped growing; the current Galerkin iterate is
-                # still valid, so report the stall instead of raising
-                warnings.warn(
-                    f"rational Krylov space saturated for the given poles "
-                    f"({deflated_in_a_row} fully deflated expansions in a "
-                    f"row) before reaching tol", stacklevel=2,
-                )
+    with shifted:
+        while used < max_iter:
+            key = poles[used % len(poles)] if poles else \
+                complex(_next_pole(problem, state, pole_strategy, pending))
+            try:
+                raw = shifted.solve(key, chains.get(key, Cstar))
+                if not np.isfinite(raw).all():
+                    raise SolverBreakdown(
+                        f"shifted solve produced non-finite values for pole "
+                        f"{key}", shift=key,
+                    )
+            except SolverBreakdown as exc:
                 state.history.status = "breakdown"
+                exc.history = state.history
+                raise
+            chains[key] = raw / max(np.linalg.norm(raw), 1e-300)
+            if real_data and key.imag != 0:
+                # the conjugate pole's resolvent block is conj(raw), so
+                # [Re raw, Im raw] spans both blocks in real arithmetic
+                chains[key.conjugate()] = chains[key].conj()
+                raw = np.hstack([raw.real, raw.imag])
+                step_poles = sorted((key, key.conjugate()),
+                                    key=lambda s: -s.imag)
+            else:
+                step_poles = [key]
+
+            U = state.U
+            state.basis.add(raw)
+            new_cols = state.U[:, U.shape[1]:]
+            if new_cols.shape[1] < raw.shape[1]:
+                warnings.warn(
+                    f"deflated {raw.shape[1] - new_cols.shape[1]} dependent "
+                    f"direction(s) at pole {step_poles[0]}"
+                    + (" and its conjugate" if len(step_poles) == 2 else ""),
+                    stacklevel=2,
+                )
+            state.poles.extend(step_poles)
+            used += len(step_poles)
+            if new_cols.shape[1] == 0:
+                deflated_in_a_row += len(step_poles)
+                if deflated_in_a_row >= saturation_limit:
+                    # the space stopped growing; the current Galerkin
+                    # iterate is still valid, so report the stall instead
+                    # of raising
+                    warnings.warn(
+                        f"rational Krylov space saturated for the given "
+                        f"poles ({deflated_in_a_row} fully deflated "
+                        f"expansions in a row) before reaching tol",
+                        stacklevel=2,
+                    )
+                    state.history.status = "breakdown"
+                    break
+                continue
+            deflated_in_a_row = 0
+
+            # U*AU grows by U*(A N), (U*(A* N))* and N*(A N) for the new
+            # columns N; the residual tracker keeps A* N for the coupling
+            # block
+            c = new_cols.shape[1]
+            AN = problem.A @ new_cols
+            AsN = shifted.Astar @ new_cols
+            side = (np.hstack([AN, AsN]).conj().T @ U).conj().T
+            state.UAU = np.block([
+                [state.UAU, side[:, :c]],
+                [side[:, c:].conj().T, new_cols.conj().T @ AN],
+            ])
+            state.UB = np.vstack([state.UB, new_cols.conj().T @ problem.B])
+            state.CU = np.hstack([state.CU, problem.C @ new_cols])
+            tracker.add_step(AsN)
+
+            try:
+                state.Y = care_solve_dense(state.UAU, state.UB, state.CU,
+                                           check_tol=1e-6)
+            except (ValueError, RuntimeError) as exc:
+                state.history.status = "breakdown"
+                raise SolverBreakdown(
+                    "projected equation has no stabilizing solution; the "
+                    "Galerkin step is only guaranteed for passive A "
+                    f"(pole {key}, dimension {state.U.shape[1]}): {exc}",
+                    shift=key, history=state.history,
+                ) from exc
+
+            rel = tracker.weighted_norm(state.U, state.Y, state.UAU, state.UB,
+                                        state.CU) / cc_norm
+            eigs = np.linalg.eigvalsh(0.5 * (state.Y + state.Y.conj().T))
+            rank = int(np.count_nonzero(
+                eigs > 1e-12 * max(eigs.max(), 1e-300)))
+            state.history.append(used, dim=state.U.shape[1], rank=rank,
+                                 rel_residual=rel)
+            if rel <= tol:
+                state.history.status = "converged"
                 break
-            continue
-        deflated_in_a_row = 0
-
-        # U*AU grows by U*(A N), (U*(A* N))* and N*(A N) for the new columns
-        # N; the residual tracker keeps A* N for the coupling block
-        c = new_cols.shape[1]
-        AN = problem.A @ new_cols
-        AsN = shifted.Astar @ new_cols
-        side = (np.hstack([AN, AsN]).conj().T @ U).conj().T
-        state.UAU = np.block([
-            [state.UAU, side[:, :c]],
-            [side[:, c:].conj().T, new_cols.conj().T @ AN],
-        ])
-        state.UB = np.vstack([state.UB, new_cols.conj().T @ problem.B])
-        state.CU = np.hstack([state.CU, problem.C @ new_cols])
-        tracker.add_step(AsN)
-
-        try:
-            state.Y = care_solve_dense(state.UAU, state.UB, state.CU,
-                                       check_tol=1e-6)
-        except (ValueError, RuntimeError) as exc:
-            state.history.status = "breakdown"
-            raise SolverBreakdown(
-                "projected equation has no stabilizing solution; the "
-                "Galerkin step is only guaranteed for passive A "
-                f"(pole {key}, dimension {state.U.shape[1]}): {exc}",
-                shift=key, history=state.history,
-            ) from exc
-
-        rel = tracker.weighted_norm(state.U, state.Y, state.UAU, state.UB,
-                                    state.CU) / cc_norm
-        eigs = np.linalg.eigvalsh(0.5 * (state.Y + state.Y.conj().T))
-        rank = int(np.count_nonzero(eigs > 1e-12 * max(eigs.max(), 1e-300)))
-        state.history.append(used, dim=state.U.shape[1], rank=rank,
-                             rel_residual=rel)
-        if rel <= tol:
-            state.history.status = "converged"
-            break
-    else:
-        state.history.status = "max_iter"
+        else:
+            state.history.status = "max_iter"
 
     return LowRankSolution.from_basis(state.U, state.Y, state.poles), \
         state.history

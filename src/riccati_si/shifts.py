@@ -215,8 +215,7 @@ def _hamiltonian_ops(problem):
     return matvec, invvec
 
 
-def penzl_shifts(problem, m=10, m1=20, m2=10, mode="on_A",
-                 candidate_pool=None) -> ShiftSequence:
+def penzl_shifts(problem, m=10, m1=20, m2=10, mode="on_A") -> ShiftSequence:
     """Greedy shift selection from Ritz values.
 
     Two Krylov runs (m1 steps with the operator, m2 with its inverse) supply
@@ -231,10 +230,6 @@ def penzl_shifts(problem, m=10, m1=20, m2=10, mode="on_A",
     Conjugate pairs are kept together; when only one slot remains and the
     best candidate is complex, the best real candidate is preferred, and if
     none exists the pair is appended anyway (one shift over m) with a note.
-
-    ``candidate_pool`` overrides the candidate set (the Ritz-derived spectrum
-    is still the objective's evaluation set), which makes grid-search
-    experiments reproducible.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -267,15 +262,7 @@ def penzl_shifts(problem, m=10, m1=20, m2=10, mode="on_A",
     spectrum = _dedupe(_realify(mirrored[mirrored.real > 0]))
     if not spectrum.size:
         raise ValueError("no Ritz-derived candidates with positive real part")
-    if candidate_pool is not None:
-        pool = np.asarray(candidate_pool, dtype=complex).ravel()
-        pool = _dedupe(_realify(pool[pool.real > 0]))
-        if not pool.size:
-            raise ValueError("candidate_pool has no entries with positive real part")
-    else:
-        pool = spectrum
-
-    chosen, greedy_notes = _greedy_shifts(spectrum, pool, m)
+    chosen, greedy_notes = _greedy_shifts(spectrum, spectrum, m)
     notes.extend(greedy_notes)
     if len(chosen) < m:
         notes.append(f"only {len(chosen)} distinct candidates available")

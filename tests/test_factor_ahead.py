@@ -1,8 +1,8 @@
-"""Factoring the next shift ahead on a worker thread (``ShiftedSolver``'s
-``next_alpha``, used by ``ilrsi_solve``): same iterates and same factors as
-the step-by-step loop without a next shift, every worker factor freed on
-the worker, no thread left behind; and a complex right-hand side of any
-shape on a real factor."""
+"""Factoring ahead on a worker thread (``ShiftedSolver`` given the shift
+list its caller cycles, as ``ilrsi_solve`` and rksm with a pole list do):
+same iterates and same factors as one shift at a time, every worker factor
+freed on the worker, no thread left behind; and a complex right-hand side
+of any shape on a real factor."""
 
 import gc
 import sys
@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import riccati_si.ilrsi
+import riccati_si.rksm
 from riccati_si import (
     CareProblem,
     SolverBreakdown,
@@ -26,6 +27,7 @@ from riccati_si import (
     penzl_shifts,
     random_stable_problem,
     residual_norm,
+    rksm_solve,
 )
 from riccati_si.ilrsi import ConvergenceHistory, ShiftedSolver
 
@@ -68,8 +70,8 @@ def factors(monkeypatch):
 
 
 def stepwise(problem, shifts, tol, max_iter):
-    """ilrsi_solve's loop written out with ilrsi_init and ilrsi_step and no
-    next shift: (V, history)."""
+    """ilrsi_solve's loop written out with ilrsi_init and ilrsi_step, whose
+    solver factors one shift at a time: (V, history)."""
     shifts = [complex(s) for s in shifts]
     cc_norm = float(np.linalg.norm(problem.C @ problem.C.conj().T))
     history = ConvergenceHistory(status="max_iter")
@@ -108,10 +110,12 @@ def e_problem():
 
 
 def singular_problem(s, n=20):
-    """A = s I, so -A* + s I = 0 is singular at the shift s."""
-    return CareProblem(A=s * sp.identity(n, format="csr"),
-                       B=np.ones((n, 1)), C=np.ones((1, n)),
-                       check_stability=False)
+    """A = diag(s, -1, ..., 1 - n), so -A* + s I is singular at the shift s
+    and no pole's resolvent block spans an invariant subspace."""
+    d = -np.arange(n, dtype=float)
+    d[0] = s
+    return CareProblem(A=sp.diags(d, format="csr"), B=np.ones((n, 1)),
+                       C=np.ones((1, n)), check_stability=False)
 
 
 E_SHIFTS = [0.8, 2.0 + 1.5j, 2.0 - 1.5j, 5.0, 0.3]
@@ -179,19 +183,40 @@ class TestFactors:
         for shift, made, freed_on in freed:
             assert freed_on == made, shift
 
-    def test_non_cycling_solver_refuses_next_alpha(self, factors):
-        # a solver that holds only the latest factor factors one shift at a
-        # time, so no worker ever makes a factor it would drop
-        problem = make_laplacian_problem(10)
-        rhs = np.ones((100, 1))
+    def test_step_functions_start_no_thread(self, factors):
+        # ilrsi_init's solver keeps every factor but is given no list, so
+        # the public step functions never start a worker to be closed
+        problem = make_laplacian_problem(40)
         calls, _ = factors
-        solver = ShiftedSolver(problem, cycled=False)
-        solver.solve(1.0, rhs)
-        with pytest.raises(ValueError, match="next_alpha"):
-            solver.solve(2.0, rhs, next_alpha=3.0)
-        assert [s for s, _ in calls] == [1.0]
-        assert list(solver.cache) == [1.0]
-        assert solver._worker is None
+        before = threading.active_count()
+        stepwise(problem, penzl_shifts(problem, m=10).values, 1e-10, 60)
+        assert threading.active_count() == before
+        assert len(calls) == 10
+        assert {t for _, t in calls} == {threading.get_ident()}
+
+    @pytest.mark.filterwarnings("ignore:deflated")
+    def test_rksm_pole_list_same_factors(self, factors, monkeypatch):
+        # rksm with a pole list factors two at a time, with the same
+        # factors and iterates as a solver given no list
+        problem = make_toeplitz_problem(2000)
+        poles = penzl_shifts(problem, m=10).values
+        calls, freed = factors
+        solution, history = rksm_solve(problem, poles, tol=1e-10)
+        main = threading.get_ident()
+        ahead = sorted((complex(s) for s, _ in calls), key=str)
+        assert any(t != main for _, t in calls)
+        gc.collect()
+        assert all(freed_on == made for _, made, freed_on in freed)
+        calls.clear()
+        monkeypatch.setattr(
+            riccati_si.rksm, "ShiftedSolver",
+            lambda problem, cycle: ShiftedSolver(problem, ()))
+        reference, ref_history = rksm_solve(problem, poles, tol=1e-10)
+        assert {t for _, t in calls} == {main}
+        assert ahead == sorted((complex(s) for s, _ in calls), key=str)
+        assert history.to_csv() == ref_history.to_csv()
+        assert history.status == ref_history.status == "converged"
+        assert solution.V.tobytes() == reference.V.tobytes()
 
     def test_no_worker_on_one_cpu(self, factors, monkeypatch):
         monkeypatch.setattr(riccati_si.ilrsi, "_cpu_count", lambda: 1)
@@ -201,30 +226,59 @@ class TestFactors:
         assert {t for _, t in calls} == {threading.get_ident()}
 
     def test_pairing_rule(self, factors):
+        # a solve that needs a new factor starts the first list shift that
+        # still needs one: never the current shift or, on real data, its
+        # conjugate, and never one that has a factor or is being factored
         problem = make_laplacian_problem(10)
         rhs = np.ones((100, 1))
         calls, _ = factors
-        solver = ShiftedSolver(problem)
         main = threading.get_ident()
 
         def made_on_worker():
             return [s for s, t in calls if t != main]
 
-        solver.solve(1.0, rhs, next_alpha=1.0)      # next equals current
-        solver.solve(2 + 1j, rhs, next_alpha=2 - 1j)  # its conjugate
-        solver.solve(3.0, rhs, next_alpha=1.0)      # next already factored
-        assert made_on_worker() == []
-        solver.solve(4.0, rhs, next_alpha=5.0)
-        solver.solve(6.0, rhs, next_alpha=5.0)      # next already pending
-        solver.solve(5.0, rhs, next_alpha=7.0)      # current has a factor
-        assert made_on_worker() == [5.0]
+        solver = ShiftedSolver(problem, [2 - 1j, 2 + 1j, 2 - 1j])
+        solver.solve(2 + 1j, rhs)           # its conjugate, then a repeat
+        assert solver._worker is None
+        solver = ShiftedSolver(problem, [1.0, 2 + 1j, 2 - 1j, 3.0, 1.0, 4.0])
+        # _pending holds the shifts started on the worker that no solve has
+        # used yet
+        solver.solve(1.0, rhs)
+        assert list(solver._pending) == [2 + 1j]
+        solver.solve(2 - 1j, rhs)           # the pair's factor serves
+        assert not solver._pending
+        solver.solve(3.0, rhs)              # next entry 1.0 has a factor
+        assert list(solver._pending) == [4.0]
+        solver.solve(5.0, rhs)              # every list shift has one
+        solver.solve(4.0, rhs)              # current is being factored
+        assert not solver._pending
+        assert made_on_worker() == [2 + 1j, 4.0]
+        assert [s for s, t in calls if t == main] == [2 + 1j, 1.0, 3.0, 5.0]
         solver.close()
         solver.close()
-        x = solver.solve(5.0, rhs)                  # refactored, inline
-        assert made_on_worker() == [5.0] and calls[-1] == (5.0, main)
-        ref = ShiftedSolver(problem).solve(5.0, rhs)
+        # the worker's factors are gone: 4.0 is refactored inline, and the
+        # pair's factor is started again on a new worker
+        x = solver.solve(4.0, rhs)
+        assert list(solver._pending) == [2 + 1j]
+        solver.close()
+        assert calls[-2:].count((4.0, main)) == 1
+        ref = ShiftedSolver(problem).solve(4.0, rhs)
         np.testing.assert_array_equal(x, ref)
 
+    def test_pairing_rule_complex_data(self, factors):
+        # on complex data a conjugate shift is another matrix, so it is
+        # factored ahead
+        base = make_laplacian_problem(10)
+        problem = CareProblem(A=(1 + 0.1j) * base.A, B=base.B, C=base.C,
+                              check_stability=False)
+        calls, _ = factors
+        solver = ShiftedSolver(problem, [2 + 1j, 2 - 1j])
+        with solver:
+            solver.solve(2 + 1j, np.ones((100, 1)))
+            assert solver._worker is not None
+        assert solver._worker is None
+        main = threading.get_ident()
+        assert [s for s, t in calls if t != main] == [2 - 1j]
 
     def test_concurrent_solves(self, factors):
         # four solves at once, each with its own worker, switching threads
@@ -260,6 +314,11 @@ class TestFactors:
 
 
 class TestThreadsEnd:
+    """No thread is left on any exit of ilrsi_solve; the subclass below
+    runs the same cases for rksm with a pole list."""
+
+    solve = staticmethod(ilrsi_solve)
+
     def assert_no_thread_left(self, run):
         before = threading.active_count()
         run()
@@ -270,7 +329,7 @@ class TestThreadsEnd:
         shifts = penzl_shifts(problem, m=10).values
 
         def run():
-            _, history = ilrsi_solve(problem, shifts, tol=1e-10)
+            _, history = self.solve(problem, shifts, tol=1e-10)
             assert history.status == "converged"
 
         self.assert_no_thread_left(run)
@@ -280,7 +339,8 @@ class TestThreadsEnd:
         shifts = penzl_shifts(problem, m=10).values
 
         def run():
-            _, history = ilrsi_solve(problem, shifts, tol=1e-10, max_iter=5)
+            _, history = self.solve(problem, shifts, tol=1e-10,
+                                    max_iter=5)
             assert history.status == "max_iter"
 
         self.assert_no_thread_left(run)
@@ -295,7 +355,7 @@ class TestThreadsEnd:
 
         def run():
             with pytest.raises(SolverBreakdown) as info:
-                ilrsi_solve(singular_problem(s), shifts, tol=1e-10)
+                self.solve(singular_problem(s), shifts, tol=1e-10)
             assert info.value.shift == s
             assert info.value.history.status == "breakdown"
             assert len(info.value.history.records) == position - 1
@@ -307,6 +367,11 @@ class TestThreadsEnd:
         assert (made[1.0] == main) == (position == 2)
         gc.collect()
         assert all(freed_on == made for _, made, freed_on in freed)
+
+
+@pytest.mark.filterwarnings("ignore:deflated")
+class TestThreadsEndRksm(TestThreadsEnd):
+    solve = staticmethod(rksm_solve)
 
 
 class TestComplexRhsOnRealFactor:

@@ -375,6 +375,13 @@ class TestSolverLoop:
                 assert X.dtype == dtype and not X.any()
                 assert not sol.apply(np.ones((8, 2))).any()
 
+    @pytest.mark.parametrize("solve", [ilrsi_solve, rksm_solve],
+                             ids=["ilrsi", "rksm"])
+    def test_negative_max_iter_rejected(self, solve):
+        p = random_stable_problem(8, 1, 1, seed=0)
+        with pytest.raises(ValueError, match="max_iter must be nonnegative"):
+            solve(p, [1.0], max_iter=-1)
+
     def test_max_iter_exhaustion(self):
         p = random_stable_problem(15, 1, 1, seed=2)
         sol, hist = ilrsi_solve(p, [1.0], tol=1e-16, max_iter=3)

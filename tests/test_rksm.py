@@ -400,9 +400,9 @@ def shifted_calls(monkeypatch):
     solve = riccati_si.ilrsi.ShiftedSolver.solve
     factor = riccati_si.ilrsi.ShiftedSolver._factor
 
-    def recording_solve(self, alpha, rhs, next_alpha=None):
+    def recording_solve(self, alpha, rhs):
         solves.append(complex(alpha))
-        return solve(self, alpha, rhs, next_alpha)
+        return solve(self, alpha, rhs)
 
     def recording_factor(self, shift):
         factors.append(shift)
@@ -440,9 +440,10 @@ class TestRealArithmetic:
         p = random_stable_problem(12, 1, 1, seed=6)
         sh = [1.0, 2.0 + 1.0j, 2.0 - 1.0j, 0.7]
         sol, hist = rksm_solve(p, sh, tol=1e-30, max_iter=4)
-        assert len(factored) == 3
-        assert [dts[0] for dts in factored] == \
-            [np.float64, np.complex128, np.float64]
+        # the pair's factor is made on the worker while 1.0 is factored, so
+        # the order of the two is not fixed
+        assert sorted(np.dtype(dts[0]).name for dts in factored) == \
+            ["complex128", "float64", "float64"]
         data = build_distinct_basis(p, sh)
         assert len(factored) == 6
         assert sol.dim == 4
@@ -533,7 +534,7 @@ class TestRealArithmetic:
         state = RksmState(basis=basis, UAU=UAU, UB=UB, CU=CU,
                           poles=[1.0, 2.0 + 0.5j], Y=Y)
         pending = []
-        pole = _next_pole(p, state, strategy, pending, 0)
+        pole = _next_pole(p, state, strategy, pending)
         current = LowRankSolution.from_basis(U, Y, ()) \
             if mode == "stabilized" else None
         ref = adaptive_pole(U, p, current_solution=current,

@@ -173,21 +173,24 @@ class TestPenzl:
             penzl_shifts(p, m=0)
 
     def test_geometric_mean_on_injected_grid(self):
-        # for the two-point spectrum {1, 10} the optimal single shift is
-        # sqrt(10) (equioscillation); with sqrt(10) present in the candidate
-        # pool the greedy seed must pick it exactly
-        p = _two_point_problem()
+        # for the two-point spectrum {1, 10} (the mirrored Ritz set of
+        # _two_point_problem) the optimal single shift is sqrt(10)
+        # (equioscillation); with sqrt(10) present in the candidate pool the
+        # greedy seed must pick it exactly
+        spectrum = np.array([1.0, 10.0], dtype=complex)
         pool = list(np.linspace(1.0, 10.0, 181)) + [np.sqrt(10.0)]
-        s = penzl_shifts(p, m=1, m1=2, m2=2, candidate_pool=pool)
+        s, _ = _greedy_shifts(spectrum, _dedupe(_realify(pool)), 1)
         assert len(s) == 1
-        assert s.values[0] == pytest.approx(np.sqrt(10.0), abs=1e-12)
+        assert s[0] == pytest.approx(np.sqrt(10.0), abs=1e-12)
 
     def test_pair_order_independent_of_candidate_order(self):
         # the growth scores of a candidate and its exact conjugate tie, so
         # the member picked first follows list order; the pair must still
         # come out with its positive imaginary part first
         p = random_stable_problem(20, 1, 1, seed=3)
-        out = [penzl_shifts(p, m=3, candidate_pool=pool).values
+        mirrored = -np.conj(np.linalg.eigvals(p.A.toarray()))
+        spectrum = _dedupe(_realify(mirrored))
+        out = [_greedy_shifts(spectrum, _dedupe(_realify(pool)), 3)[0]
                for pool in ([1.0, 2.0 + 1.0j, 2.0 - 1.0j],
                             [1.0, 2.0 - 1.0j, 2.0 + 1.0j])]
         assert out[0] == out[1]
