@@ -3,10 +3,10 @@
 Two iterations over the same rational Krylov spaces: an incremental
 subspace iteration advancing a factored iterate one shifted solve per step
 (ilrsi_solve), and a Galerkin projection solving a small dense equation per
-pole (rksm_solve). Both take their options as keywords (tol, max_iter,
-and for ilrsi_solve truncation_tol). Dense references, shift machinery,
-convergence analysis tools and the distinct-shift identity checks behind
-``riccati-si verify`` back them up at oracle scale.
+pole (rksm_solve). Both take the same two keyword options, tol and
+max_iter. Dense references, shift machinery, convergence analysis tools
+and the distinct-shift identity checks behind ``riccati-si verify`` back
+them up at oracle scale.
 """
 
 from .problems import (

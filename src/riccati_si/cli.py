@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .ilrsi import (
     ConvergenceHistory,
     SolverBreakdown,
     _fmt,
+    check_stopping,
     ilrsi_solve,
     residual_norm,
 )
@@ -58,7 +59,7 @@ from .rksm import (
 
 _PROBLEM_KEYS = {
     "laplacian": {"m"},
-    "toeplitz": {"n", "normalize_b", "raw"},
+    "toeplitz": {"n", "normalize_b"},
     "random_stable": {"n", "p", "q"},
     "files": {"a", "b", "c", "e"},
 }
@@ -68,8 +69,7 @@ _SHIFT_KEYS = {
     "file": {"path"},
 }
 _SOLVERS = ("ilrsi", "rksm", "dense_fixed_point", "dense_exact")
-_TOP_KEYS = {"problem", "solver", "shifts", "tol", "max_iter",
-             "truncation_tol", "seed", "out"}
+_TOP_KEYS = {"problem", "solver", "shifts", "tol", "max_iter", "seed"}
 
 
 class ConfigError(ValueError):
@@ -94,9 +94,7 @@ class RunConfig:
     shifts: dict | None = None
     tol: float = 1e-8
     max_iter: int = 100
-    truncation_tol: float | None = None
     seed: int = 0
-    out: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, d) -> "RunConfig":
@@ -127,26 +125,11 @@ class RunConfig:
                 )
             _reject_unknown(shifts, _SHIFT_KEYS[skind], f"shifts ({skind})")
             shifts["kind"] = skind
-        tol = float(d.get("tol", 1e-8))
-        if tol <= 0:
-            raise ConfigError(f"tol must be positive, got {tol}")
-        max_iter = int(d.get("max_iter", 100))
-        if max_iter < 0:
-            raise ConfigError(f"max_iter must be nonnegative, got {max_iter}")
-        trunc = d.get("truncation_tol")
-        if trunc is not None:
-            trunc = float(trunc)
-            if not 0.0 < trunc < 1.0:
-                raise ConfigError(
-                    f"truncation_tol must be in (0, 1), got {trunc}"
-                )
-        out = d.get("out", {})
-        if out:
-            _reject_unknown(out, {"history", "summary"}, "out")
+        tol, max_iter = check_stopping(d.get("tol", 1e-8),
+                                       d.get("max_iter", 100))
         prob["kind"] = kind
         return cls(problem=prob, solver=solver, shifts=shifts, tol=tol,
-                   max_iter=max_iter, truncation_tol=trunc,
-                   seed=int(d.get("seed", 0)), out=dict(out))
+                   max_iter=max_iter, seed=int(d.get("seed", 0)))
 
 
 def _build_problem(cfg: RunConfig) -> CareProblem:
@@ -158,7 +141,6 @@ def _build_problem(cfg: RunConfig) -> CareProblem:
         return make_toeplitz_problem(
             int(spec.get("n", 500)),
             normalize_b=bool(spec.get("normalize_b", True)),
-            raw=bool(spec.get("raw", False)),
         )
     if kind == "random_stable":
         return random_stable_problem(
@@ -205,7 +187,7 @@ def _build_shifts(cfg: RunConfig, problem: CareProblem):
                 ) from exc
         if isinstance(doc, dict) and "shifts" in doc:
             doc = doc["shifts"]
-        shifts = ShiftSequence.from_json(json.dumps(doc))
+        shifts = ShiftSequence(tuple(complex(re, im) for re, im in doc))
     if cfg.solver == "rksm" and problem.A.dtype.kind != "c":
         _check_pairs(shifts.values)
     return shifts
@@ -233,16 +215,8 @@ def _relative_rank(X):
 def _dense_exact_run(problem):
     X = dense_care_solve(problem)
     cc = float(np.linalg.norm(problem.C.conj().T @ problem.C))
-    A = problem.A.toarray()
-    B, C = problem.B, problem.C
-    if problem.E is None:
-        R = care_residual(A, B, C, X)
-    else:
-        E = problem.E.toarray()
-        XE = X @ E
-        R = (A.conj().T @ XE + XE.conj().T @ A
-             - XE.conj().T @ (B @ B.conj().T) @ XE
-             + C.conj().T @ C)
+    E = None if problem.E is None else problem.E.toarray()
+    R = care_residual(problem.A.toarray(), problem.B, problem.C, X, E)
     history = ConvergenceHistory(status="converged")
     history.append(1, dim=problem.n, rank=_relative_rank(X),
                    rel_residual=float(np.linalg.norm(R)) / cc)
@@ -281,13 +255,9 @@ def _solve(cfg: RunConfig, problem: CareProblem, shifts, label=None):
         if cfg.solver == "dense_fixed_point":
             return _dense_fixed_point_run(problem, shifts, cfg), \
                 list(shifts.values)
-        options = {"tol": cfg.tol, "max_iter": cfg.max_iter}
-        if cfg.solver == "ilrsi":
-            if cfg.truncation_tol is not None:
-                options["truncation_tol"] = cfg.truncation_tol
-            solution, history = ilrsi_solve(problem, shifts, **options)
-        else:
-            solution, history = rksm_solve(problem, shifts, **options)
+        solve = ilrsi_solve if cfg.solver == "ilrsi" else rksm_solve
+        solution, history = solve(problem, shifts, tol=cfg.tol,
+                                  max_iter=cfg.max_iter)
         return history, list(solution.shifts_used)
     except (RuntimeError, ValueError) as exc:
         where = f"{label}: " if label else ""
@@ -336,11 +306,10 @@ def cmd_run(doc, out_dir=".") -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     history, shifts_used = _solve(cfg, problem, shifts)
-    hist_path = os.path.join(out_dir, cfg.out.get("history", "history.csv"))
-    summ_path = os.path.join(out_dir, cfg.out.get("summary", "summary.json"))
-    _atomic_write(hist_path, history.to_csv())
-    _atomic_write(summ_path, json.dumps(_summary_doc(cfg, history, shifts_used),
-                                        indent=2, sort_keys=True) + "\n")
+    _atomic_write(os.path.join(out_dir, "history.csv"), history.to_csv())
+    _atomic_write(os.path.join(out_dir, "summary.json"),
+                  json.dumps(_summary_doc(cfg, history, shifts_used),
+                             indent=2, sort_keys=True) + "\n")
     return _EXIT_BY_STATUS.get(history.status, 3)
 
 

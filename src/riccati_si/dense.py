@@ -68,12 +68,15 @@ def _hermitize(X):
     return 0.5 * (X + X.conj().T)
 
 
-def care_residual(A, B, C, X) -> np.ndarray:
-    """Residual A*X + XA - X BB* X + C*C, assembled densely."""
+def care_residual(A, B, C, X, E=None) -> np.ndarray:
+    """Residual A*XE + E*XA - E*X BB* XE + C*C, assembled densely; without
+    E it is A*X + XA - X BB* X + C*C."""
     A = np.asarray(A)
     F = B @ B.conj().T
     G = C.conj().T @ C
-    return A.conj().T @ X + X @ A - X @ F @ X + G
+    XE = X if E is None else X @ E
+    EX = X if E is None else XE.conj().T
+    return A.conj().T @ XE + EX @ A - EX @ F @ XE + G
 
 
 def _schur_eigvals(T) -> np.ndarray:

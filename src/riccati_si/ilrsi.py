@@ -38,6 +38,7 @@ worker before it stops it, and ``ilrsi_solve`` runs inside the solver's
 
 from __future__ import annotations
 
+import operator
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -63,6 +64,24 @@ class SolverBreakdown(RuntimeError):
         super().__init__(message)
         self.shift = shift
         self.history = history
+
+
+def check_stopping(tol, max_iter):
+    """The stopping inputs of both solvers and of the CLI, checked: returns
+    (tol, max_iter) as (float, int). Raises ValueError unless tol is finite
+    and positive and max_iter is a nonnegative integer (an int, not a float
+    that happens to be whole)."""
+    tol = float(tol)
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    try:
+        steps = operator.index(max_iter)
+    except TypeError:
+        raise ValueError(
+            f"max_iter must be an integer, got {max_iter!r}") from None
+    if steps < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {steps}")
+    return tol, steps
 
 
 def _fmt(x) -> str:
@@ -605,13 +624,11 @@ def residual_norm(problem: CareProblem, residual_factor) -> float:
     return float(np.linalg.norm(R.conj().T @ R))
 
 
-def ilrsi_solve(problem: CareProblem, shifts, *, tol=1e-8, max_iter=100,
-                truncation_tol=None):
+def ilrsi_solve(problem: CareProblem, shifts, *, tol=1e-8, max_iter=100):
     """Run the incremental iteration until the relative residual drops below
     tol or max_iter steps are spent; the shift list is cycled as needed.
-    truncation_tol, when given, is the relative singular-value cutoff of the
-    history's rank column, in (0, 1) (default 1e-12); it does not change the
-    iterate.
+    The history's rank column counts the singular values of V above 1e-12
+    of the largest.
 
     Returns (solution, history). A breakdown is re-raised with the partial
     history attached. The shifted solver is given the shifts the run can
@@ -621,15 +638,7 @@ def ilrsi_solve(problem: CareProblem, shifts, *, tol=1e-8, max_iter=100,
     shift_list = [complex(s) for s in shifts]
     if not shift_list:
         raise ValueError("shift list must be nonempty")
-    tol = float(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    max_iter = int(max_iter)
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
-    rank_tol = 1e-12 if truncation_tol is None else float(truncation_tol)
-    if not 0.0 < rank_tol < 1.0:
-        raise ValueError(f"truncation_tol must be in (0, 1), got {rank_tol}")
+    tol, max_iter = check_stopping(tol, max_iter)
 
     history = ConvergenceHistory()
     cc_norm = float(np.linalg.norm(problem.C @ problem.C.conj().T))
@@ -641,7 +650,7 @@ def ilrsi_solve(problem: CareProblem, shifts, *, tol=1e-8, max_iter=100,
                                    shift_list[(it - 1) % len(shift_list)])
                 rel = residual_norm(problem, state.residual_factor) / cc_norm
                 history.append(it, dim=state.dim,
-                               rank=state.basis.rank(rank_tol),
+                               rank=state.basis.rank(1e-12),
                                rel_residual=rel)
                 if rel <= tol:
                     history.status = "converged"

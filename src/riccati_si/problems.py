@@ -173,14 +173,13 @@ def make_laplacian_problem(interior_points_per_side: int) -> CareProblem:
     return CareProblem(A=sp.csr_matrix(A), B=B, C=C, check_stability=False)
 
 
-def make_toeplitz_problem(n: int, normalize_b: bool = True, raw: bool = False) -> CareProblem:
+def make_toeplitz_problem(n: int, normalize_b: bool = True) -> CareProblem:
     """Banded Toeplitz test matrix: diagonal 2.5, superdiagonals 1..3 equal
-    to 1, first subdiagonal -1.
+    to 1, first subdiagonal -1, negated.
 
-    That matrix has its spectrum in the right half-plane, so by default the
+    The unnegated matrix has its spectrum in the right half-plane, so the
     generator negates it to obtain a stable A (only spectra enter the
-    methods, so nothing else changes). Pass ``raw=True`` for the unnegated
-    matrix; stability validation is skipped in that case.
+    methods, so nothing else changes).
 
     C is the alternating row [1, -2, 1, -2, ...]; B is the all-ones vector,
     divided by its norm when ``normalize_b`` (the default).
@@ -196,14 +195,12 @@ def make_toeplitz_problem(n: int, normalize_b: bool = True, raw: bool = False) -
         if n > off:
             diagonals.append(np.ones(n - off))
             offsets.append(off)
-    A = sp.diags(diagonals, offsets, format="csr")
-    if not raw:
-        A = -A
+    A = -sp.diags(diagonals, offsets, format="csr")
     B = np.ones((n, 1))
     if normalize_b:
         B /= np.linalg.norm(B)
     C = np.where(np.arange(n) % 2 == 0, 1.0, -2.0).reshape(1, n)
-    return CareProblem(A=sp.csr_matrix(A), B=B, C=C, check_stability=not raw)
+    return CareProblem(A=sp.csr_matrix(A), B=B, C=C)
 
 
 def random_stable_problem(n: int, p: int, q: int, seed: int) -> CareProblem:

@@ -45,6 +45,7 @@ from .ilrsi import (
     ShiftedSolver,
     SolverBreakdown,
     _BasisQR,
+    check_stopping,
 )
 from .shifts import ShiftSequence, _mirrored_ritz_pole, adaptive_pole
 
@@ -274,12 +275,7 @@ def rksm_solve(problem: CareProblem, pole_strategy, *, tol=1e-8,
             _check_pairs(poles)
         saturation_limit = len(poles) + 1
 
-    tol = float(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    max_iter = int(max_iter)
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+    tol, max_iter = check_stopping(tol, max_iter)
 
     n, p = problem.n, problem.p
     # a pole list is cycled, so its factors are held and factored two at a

@@ -8,7 +8,6 @@ looks at A - BB*X for the current approximate solution X instead of A alone).
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -19,13 +18,6 @@ from .ilrsi import sparse_lu
 ORIGINS = ("penzl_A", "penzl_H", "adaptive_ritz", "adaptive_stabilized", "user")
 
 _REAL_TOL = 1e-10
-
-
-def _realify_scalar(z):
-    z = complex(z)
-    if abs(z.imag) <= _REAL_TOL * (1.0 + abs(z.real)):
-        return complex(z.real, 0.0)
-    return z
 
 
 @dataclass(frozen=True)
@@ -54,11 +46,6 @@ class ShiftSequence:
                         f"conjugate of {v} is missing"
                     )
 
-    @property
-    def reals(self):
-        """Real parts a_k = Re(alpha_k), computed on each access."""
-        return tuple(v.real for v in self.values)
-
     def __len__(self):
         return len(self.values)
 
@@ -68,18 +55,6 @@ class ShiftSequence:
     def __getitem__(self, i):
         return self.values[i]
 
-    def cycled(self, count: int):
-        """First ``count`` entries of the infinitely cycled sequence."""
-        return [self.values[i % len(self.values)] for i in range(count)]
-
-    def to_json(self) -> str:
-        return json.dumps([[v.real, v.imag] for v in self.values])
-
-    @classmethod
-    def from_json(cls, text: str, origin: str = "user") -> "ShiftSequence":
-        pairs = json.loads(text)
-        return cls(tuple(complex(re, im) for re, im in pairs), origin=origin)
-
 
 def rational_objective(shifts, spectrum) -> float:
     """max over the spectrum of prod_i |lam - conj(alpha_i)| / |lam + alpha_i|.
@@ -88,23 +63,29 @@ def rational_objective(shifts, spectrum) -> float:
     the spectral radius of the corresponding Cayley factor product on the
     antistable invariant subspace.
     """
-    svals = [complex(s) for s in shifts]
-    lam = np.asarray([complex(z) for z in spectrum])
+    svals = np.asarray([complex(s) for s in shifts], dtype=complex)
+    lam = np.asarray([complex(z) for z in spectrum], dtype=complex)
     if lam.size == 0:
         raise ValueError("spectrum must be nonempty")
-    if len(svals) == 0:
+    if svals.size == 0:
         raise ValueError("shift set must be nonempty")
-    vals = np.ones(lam.shape, dtype=float)
-    for s in svals:
-        denom = np.abs(lam + s)
-        bad = denom <= 1e-13 * (1.0 + np.abs(lam) + abs(s))
-        if bad.any():
-            culprit = lam[bad][0]
-            raise ValueError(
-                f"spectrum point {culprit} coincides with the pole of shift {s}"
-            )
-        vals *= np.abs(lam - np.conj(s)) / denom
-    return float(vals.max())
+    return float(_damping(svals, lam).prod(axis=0).max())
+
+
+def _damping(shifts, spectrum):
+    """|lam - conj(s)| / |lam + s| for each shift s (a row) and spectrum
+    point lam (a column), both complex arrays: the single-shift factors of
+    the rational objective. Raises ValueError when a point lies on the pole
+    -s of a shift, i.e. |lam + s| is at most 1e-13 (1 + |lam| + |s|); the
+    first such pair in shift order is named."""
+    denom = np.abs(spectrum + shifts[:, None])
+    size = np.hypot(shifts.real, shifts.imag)[:, None]
+    bad = denom <= 1e-13 * (1.0 + np.abs(spectrum) + size)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise ValueError(f"spectrum point {spectrum[k]} coincides with the "
+                         f"pole of shift {shifts[i]}")
+    return np.abs(spectrum - shifts.conj()[:, None]) / denom
 
 
 def _arnoldi_ritz(matvec, v0, steps):
@@ -155,8 +136,8 @@ def _cgs_pass(V, w):
 
 
 def _realify(z):
-    """z as a complex array, with each imaginary part at most
-    _REAL_TOL (1 + |Re z|) set to zero, as ``_realify_scalar`` does."""
+    """z (an array or a scalar) as a flat complex array, with each imaginary
+    part at most _REAL_TOL (1 + |Re z|) set to zero."""
     z = np.asarray(z, dtype=complex).ravel()
     near = np.abs(z.imag) <= _REAL_TOL * (1.0 + np.abs(z.real))
     return np.where(near, z.real, z)
@@ -313,14 +294,7 @@ def _greedy_shifts(spectrum, pool, m):
         return out
 
     # rational_objective([c], spectrum) of every candidate c, to be minimized
-    denom = np.abs(spectrum + pool[:, None])
-    bad = denom <= 1e-13 * (1.0 + np.abs(spectrum) + size[:, None])
-    if bad.any():
-        c, k = np.argwhere(bad)[0]
-        raise ValueError(f"spectrum point {spectrum[k]} coincides with the "
-                         f"pole of shift {pool[c]}")
-    objective = (np.abs(spectrum - pool.conj()[:, None]) / denom).max(axis=1)
-    chosen = grab(_first_max(-objective))
+    chosen = grab(_first_max(-_damping(pool, spectrum).max(axis=1)))
 
     score = np.ones(pool.size)
     scored = 0
@@ -427,9 +401,10 @@ def _mirrored_ritz_pole(theta, existing_poles=()) -> complex:
             )
             return complex(existing_poles[-1])
         raise ValueError("no stable Ritz values and no previous pole to reuse")
+    # mu is realified already, so a point of it is returned as it is
     mu = _dedupe(_realify(-np.conj(stable)))
     if len(mu) == 1:
-        return _realify_scalar(mu[0])
+        return complex(mu[0])
     cands = _hull_candidates(mu)
     # |c - z| as Python's abs of a complex computes it (libm hypot), which
     # numpy's abs of a complex array does not always match to the last bit
@@ -437,7 +412,7 @@ def _mirrored_ritz_pole(theta, existing_poles=()) -> complex:
     near = np.hypot(gap.real, gap.imag).min(axis=1)
     cands = cands[near > 1e-12 * (1.0 + np.hypot(cands.real, cands.imag))]
     if not cands.size:
-        return _realify_scalar(mu[0])
+        return complex(mu[0])
     if len(existing_poles):
         # the products are formed factor by factor in the order of the
         # poles and then of the Ritz values, as a scalar loop would
@@ -449,15 +424,11 @@ def _mirrored_ritz_pole(theta, existing_poles=()) -> complex:
         for z in mu:
             d = cands - z
             den *= np.hypot(d.real, d.imag)
-        return _realify_scalar(cands[_first_max(num / den)])
-    # rational_objective([c], mu) of every candidate c, to be minimized
-    denom = np.abs(mu + cands[:, None])
-    if np.any(denom <= 1e-13 * (1.0 + np.abs(mu)
-                                + np.hypot(cands.real, cands.imag)[:, None])):
-        raise ValueError("a pole candidate coincides with the pole of a "
-                         "mirrored Ritz value")
-    ratio = np.abs(mu - cands.conj()[:, None]) / denom
-    return _realify_scalar(cands[_first_max(-ratio.max(axis=1))])
+        score = num / den
+    else:
+        # rational_objective([c], mu) of every candidate c, to be minimized
+        score = -_damping(cands, mu).max(axis=1)
+    return complex(_realify(cands[_first_max(score)])[0])
 
 
 def _first_max(score):

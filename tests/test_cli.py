@@ -2,9 +2,18 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from riccati_si import cli
+from riccati_si import (
+    care_residual,
+    cli,
+    ilrsi_init,
+    ilrsi_step,
+    penzl_shifts,
+    random_stable_problem,
+    residual_norm,
+)
 
 
 def run_cli(*args):
@@ -29,6 +38,25 @@ def base_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+# Config overrides that are bad before the solver call: in run and in
+# compare each exits 1 with an error line and writes no outputs. A NaN tol
+# would never be met, an infinite one at the first step, and a fractional
+# max_iter would be rounded down; the other keys are not config keys.
+_BAD_CONFIGS = {
+    "non-numeric-max-iter": {"max_iter": "ten"},
+    "files-without-a": {"problem": {"kind": "files", "b": "b.mtx",
+                                    "c": "c.mtx"}},
+    "nan-tol": {"tol": float("nan")},
+    "infinite-tol": {"tol": float("inf")},
+    "fractional-max-iter": {"max_iter": 2.5},
+    "truncation-tol": {"truncation_tol": 1e-8},
+    "out-names": {"out": {"history": "../escaped.csv"}},
+    "toeplitz-raw": {"problem": {"kind": "toeplitz", "n": 50, "raw": True}},
+}
+_bad_configs = pytest.mark.parametrize(
+    "overrides", list(_BAD_CONFIGS.values()), ids=list(_BAD_CONFIGS))
 
 
 class TestRun:
@@ -143,6 +171,18 @@ class TestRun:
         assert not (out / "history.csv").exists()
         assert not (out / "summary.json").exists()
 
+    @_bad_configs
+    def test_bad_config_is_error(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path / "cfg.json", base_config(**overrides))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not (out / "history.csv").exists()
+        assert not (out / "summary.json").exists()
+        assert not (tmp_path / "escaped.csv").exists()
+
     def test_malformed_shift_file_names_its_path(self, tmp_path, capsys):
         path = tmp_path / "bad_shifts.json"
         path.write_text("[[1, 0")
@@ -221,10 +261,7 @@ class TestCompare:
         assert set(verdict["reached_tol_at_dim"]) == labels
         assert verdict["winner"] in labels | {"tie"}
 
-    @pytest.mark.parametrize("overrides", [
-        {"max_iter": "ten"},
-        {"problem": {"kind": "files", "b": "b.mtx", "c": "c.mtx"}},
-    ], ids=["non-numeric-max-iter", "files-without-a"])
+    @_bad_configs
     def test_bad_config_is_error(self, tmp_path, capsys, overrides):
         a = write_config(tmp_path / "a.json", base_config(**overrides))
         b = write_config(tmp_path / "b.json",
@@ -295,6 +332,30 @@ class TestVerify:
         report = json.loads(
             (tmp_path / "verify_identities.json").read_text())
         assert "check_sylvester_identity" in report["failed"]
+
+    def test_oracle_residual_norm_matches_dense_to_rounding(self):
+        # the oracle suite's instances, drawn as it draws them. At every
+        # step the factored residual norm is within rounding of the dense
+        # assembly at the scale of ||C*C||_F. The suite's own check is
+        # relative to the residual, which falls to about 3e-7 ||C*C||_F on
+        # instance 2, so its 1e-10 asks for more than rounding allows there
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            n = int(rng.integers(10, 41))
+            prob = random_stable_problem(n, 1, 1,
+                                         seed=int(rng.integers(1 << 30)))
+            vals = penzl_shifts(prob, m=4).values
+            A = prob.A.toarray()
+            cc = np.linalg.norm(prob.C.conj().T @ prob.C)
+            state = None
+            for i in range(6):
+                a = vals[i % len(vals)]
+                state = ilrsi_init(prob, a) if state is None else \
+                    ilrsi_step(state, a)
+                dense = np.linalg.norm(care_residual(
+                    A, prob.B, prob.C, state.solution.to_dense()))
+                assert abs(residual_norm(prob, state.residual_factor)
+                           - dense) <= 1e-14 * cc
 
     def test_unknown_suite_rejected(self, tmp_path):
         proc = run_cli("verify", "--suite", "vibes", "--out", str(tmp_path))

@@ -272,18 +272,27 @@ class TestRealArithmetic:
     def test_rank_column_matches_svd(self, added_blocks, m, alpha, steps,
                                      cutoff):
         # one shift cycled until V is numerically rank-deficient; V only
-        # grows, so step k's basis is the first k columns of the final V
+        # grows, so step k's basis is the first k columns of the final V.
+        # The rank column counts at 1e-12; a cutoff, when given, is applied
+        # to the thin QR of the same blocks (copied, since the fixture
+        # records every add)
         p = make_laplacian_problem(m)
-        sol, hist = ilrsi_solve(p, [alpha], tol=1e-30, max_iter=steps,
-                                truncation_tol=cutoff)
-        V = np.hstack(added_blocks)
-        tol = cutoff or 1e-12
-        expect = []
-        for k in range(1, steps + 1):
+        sol, hist = ilrsi_solve(p, [alpha], tol=1e-30, max_iter=steps)
+        blocks = list(added_blocks)
+        V = np.hstack(blocks)
+
+        def svd_rank(k, tol):
             s = np.linalg.svd(V[:, :k], compute_uv=False)
-            expect.append(int(np.count_nonzero(s > tol * s[0])))
+            return int(np.count_nonzero(s > tol * s[0]))
+
+        expect = [svd_rank(k, 1e-12) for k in range(1, steps + 1)]
         assert [r.rank for r in hist.records] == expect
         assert expect[-1] < min(p.n, steps)
+        if cutoff is not None:
+            basis = _BasisQR(p.n, V.dtype)
+            for blk in blocks:
+                basis.add(blk)
+            assert basis.rank(cutoff) == svd_rank(steps, cutoff) < expect[-1]
 
 
 class TestCompressedSolution:
@@ -378,9 +387,20 @@ class TestSolverLoop:
     @pytest.mark.parametrize("solve", [ilrsi_solve, rksm_solve],
                              ids=["ilrsi", "rksm"])
     def test_negative_max_iter_rejected(self, solve):
+        # with a NaN tol no residual ever passes the test, and an infinite
+        # one passes at the first step; a fractional max_iter is not
+        # rounded. All are errors, before any step
         p = random_stable_problem(8, 1, 1, seed=0)
-        with pytest.raises(ValueError, match="max_iter must be nonnegative"):
-            solve(p, [1.0], max_iter=-1)
+        for options, match in [
+            ({"max_iter": -1}, "max_iter must be nonnegative"),
+            ({"max_iter": 2.5}, "max_iter must be an integer"),
+            ({"max_iter": "3"}, "max_iter must be an integer"),
+            ({"tol": float("nan")}, "tol must be positive"),
+            ({"tol": float("inf")}, "tol must be positive"),
+            ({"tol": 0.0}, "tol must be positive"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                solve(p, [1.0], **options)
 
     def test_max_iter_exhaustion(self):
         p = random_stable_problem(15, 1, 1, seed=2)
@@ -405,12 +425,6 @@ class TestSolverLoop:
         p = random_stable_problem(8, 1, 1, seed=0)
         with pytest.raises(TypeError, match="speed"):
             ilrsi_solve(p, [1.0], speed="ludicrous")
-
-    @pytest.mark.parametrize("trunc", [0, 1, 2, -1e-3])
-    def test_truncation_tol_outside_unit_interval_rejected(self, trunc):
-        p = random_stable_problem(8, 1, 1, seed=0)
-        with pytest.raises(ValueError, match="truncation_tol"):
-            ilrsi_solve(p, [1.0], truncation_tol=trunc)
 
     def test_empty_shift_list_rejected(self):
         p = random_stable_problem(8, 1, 1, seed=0)

@@ -87,14 +87,6 @@ def test_toeplitz_structure():
     assert np.allclose(p.C.ravel(), [1, -2, 1, -2, 1, -2])
 
 
-def test_toeplitz_raw_is_negated_default():
-    raw = make_toeplitz_problem(6, raw=True)
-    neg = make_toeplitz_problem(6)
-    assert np.allclose(raw.A.toarray(), -neg.A.toarray())
-    # raw variant is antistable by design and must skip the check
-    assert np.linalg.eigvals(raw.A.toarray()).real.min() > 0
-
-
 def test_toeplitz_b_normalization():
     p = make_toeplitz_problem(9)
     assert np.linalg.norm(p.B) == pytest.approx(1.0)
