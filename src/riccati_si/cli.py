@@ -15,12 +15,14 @@ config before it solves any.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
+import operator
 import os
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,9 +43,7 @@ from .dense import (
     spectral_radius_identity_check,
 )
 from .ilrsi import (
-    CSV_HEADER,
     ConvergenceHistory,
-    SolverBreakdown,
     _fmt,
     check_stopping,
     ilrsi_solve,
@@ -57,32 +57,91 @@ from .rksm import (
     rksm_solve,
 )
 
-_PROBLEM_KEYS = {
-    "laplacian": {"m"},
-    "toeplitz": {"n", "normalize_b"},
-    "random_stable": {"n", "p", "q"},
-    "files": {"a", "b", "c", "e"},
-}
-_SHIFT_KEYS = {
-    "penzl": {"m", "m1", "m2", "mode"},
-    "adaptive": {"variant"},
-    "file": {"path"},
-}
 _SOLVERS = ("ilrsi", "rksm", "dense_fixed_point", "dense_exact")
-_TOP_KEYS = {"problem", "solver", "shifts", "tol", "max_iter", "seed"}
 
 
-class ConfigError(ValueError):
-    pass
+def _adaptive_poles(problem, variant="plain"):
+    if variant not in ("plain", "stabilized"):
+        raise ValueError(
+            f"shifts.variant must be plain or stabilized, got {variant!r}")
+    return f"adaptive_{variant}"
 
 
-def _reject_unknown(d, allowed, where):
-    extra = set(d) - allowed
+def _shift_file(problem, path):
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"shift file {path} is not valid JSON: {exc}") from exc
+    if isinstance(doc, dict) and "shifts" in doc:
+        doc = doc["shifts"]
+    return ShiftSequence(tuple(complex(re, im) for re, im in doc))
+
+
+_REQUIRED = object()  # the config must give the key
+_OWN = object()  # passed only when given, so the builder's default applies
+
+# Every key of the problem and shifts sections: for each kind, its builder
+# and, per key, the JSON type and default. Problem keys go to the builder
+# by position in this order (random_stable also gets the top-level seed),
+# shift keys by name after the problem.
+_KEYS = {
+    "problem": {
+        "laplacian": (make_laplacian_problem, {"m": (int, 10)}),
+        "toeplitz": (make_toeplitz_problem,
+                     {"n": (int, 500), "normalize_b": (bool, _OWN)}),
+        "random_stable": (random_stable_problem,
+                          {"n": (int, 40), "p": (int, 1), "q": (int, 1)}),
+        "files": (load_problem, {"a": (str, _REQUIRED), "b": (str, _REQUIRED),
+                                 "c": (str, _REQUIRED), "e": (str, _OWN)}),
+    },
+    "shifts": {
+        "penzl": (penzl_shifts, {"m": (int, _OWN), "m1": (int, _OWN),
+                                 "m2": (int, _OWN), "mode": (str, _OWN)}),
+        "adaptive": (_adaptive_poles, {"variant": (str, _OWN)}),
+        "file": (_shift_file, {"path": (str, _REQUIRED)}),
+    },
+}
+_TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
+
+
+def _typed(where, value, typ):
+    """value if it has the JSON type typ; a bool is not an integer."""
+    if typ is int and not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    elif typ is not int and isinstance(value, typ):
+        return value
+    raise ValueError(f"{where} must be {_TYPE_NAMES[typ]}, got {value!r}")
+
+
+def _section(name, spec):
+    """One section checked against its table, with the table's defaults
+    filled in."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{name} must be a JSON object, got {spec!r}")
+    kinds = _KEYS[name]
+    kind = spec.get("kind")
+    if kind not in kinds:
+        raise ValueError(
+            f"{name}.kind must be one of {sorted(kinds)}, got {kind!r}")
+    keys = kinds[kind][1]
+    extra = set(spec) - {"kind", *keys}
     if extra:
-        raise ConfigError(
-            f"unknown key(s) {sorted(extra)} in {where}; allowed: "
-            f"{sorted(allowed)}"
-        )
+        raise ValueError(f"unknown key(s) {sorted(extra)} in {name} "
+                         f"({kind}); allowed: {sorted(keys)}")
+    checked = {"kind": kind}
+    for key, (typ, default) in keys.items():
+        if key in spec:
+            checked[key] = _typed(f"{name}.{key}", spec[key], typ)
+        elif default is _REQUIRED:
+            raise ValueError(f"{name}.{key} is required for {kind}")
+        elif default is not _OWN:
+            checked[key] = default
+    return checked
 
 
 @dataclass
@@ -99,112 +158,62 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d) -> "RunConfig":
         if not isinstance(d, dict):
-            raise ConfigError("config must be a JSON object")
-        _reject_unknown(d, _TOP_KEYS, "config")
-        if "problem" not in d:
-            raise ConfigError("config is missing the problem field")
-        prob = dict(d["problem"])
-        kind = prob.pop("kind", None)
-        if kind not in _PROBLEM_KEYS:
-            raise ConfigError(
-                f"problem.kind must be one of {sorted(_PROBLEM_KEYS)}, "
-                f"got {kind!r}"
-            )
-        _reject_unknown(prob, _PROBLEM_KEYS[kind], f"problem ({kind})")
-        solver = d.get("solver")
-        if solver not in _SOLVERS:
-            raise ConfigError(f"solver must be one of {_SOLVERS}, got {solver!r}")
-        shifts = d.get("shifts")
-        if shifts is not None:
-            shifts = dict(shifts)
-            skind = shifts.pop("kind", None)
-            if skind not in _SHIFT_KEYS:
-                raise ConfigError(
-                    f"shifts.kind must be one of {sorted(_SHIFT_KEYS)}, "
-                    f"got {skind!r}"
-                )
-            _reject_unknown(shifts, _SHIFT_KEYS[skind], f"shifts ({skind})")
-            shifts["kind"] = skind
-        tol, max_iter = check_stopping(d.get("tol", 1e-8),
-                                       d.get("max_iter", 100))
-        prob["kind"] = kind
-        return cls(problem=prob, solver=solver, shifts=shifts, tol=tol,
-                   max_iter=max_iter, seed=int(d.get("seed", 0)))
+            raise ValueError("config must be a JSON object")
+        allowed = {f.name for f in fields(cls)}
+        if set(d) - allowed:
+            raise ValueError(f"unknown key(s) {sorted(set(d) - allowed)} in "
+                             f"config; allowed: {sorted(allowed)}")
+        if d.get("solver") not in _SOLVERS:
+            raise ValueError(
+                f"solver must be one of {_SOLVERS}, got {d.get('solver')!r}")
+        cfg = cls(**{**d, "problem": _section("problem", d.get("problem"))})
+        if (cfg.shifts is None) != (cfg.solver == "dense_exact"):
+            raise ValueError(f"solver {cfg.solver} takes no shifts"
+                             if cfg.shifts is not None else
+                             f"solver {cfg.solver} requires a shifts spec")
+        if cfg.shifts is not None:
+            cfg.shifts = _section("shifts", cfg.shifts)
+            if cfg.shifts["kind"] == "adaptive" and cfg.solver != "rksm":
+                raise ValueError(
+                    f"adaptive shifts require the rksm solver; give "
+                    f"{cfg.solver} a penzl or file shift spec")
+        cfg.tol, cfg.max_iter = check_stopping(cfg.tol, cfg.max_iter)
+        cfg.seed = _typed("seed", cfg.seed, int)
+        return cfg
 
 
-def _build_problem(cfg: RunConfig) -> CareProblem:
+def _problem_call(cfg: RunConfig):
+    """The problem's builder and its bound arguments, the builder's own
+    defaults applied: configs with equal calls build the same problem."""
     spec = dict(cfg.problem)
-    kind = spec.pop("kind")
-    if kind == "laplacian":
-        return make_laplacian_problem(int(spec.get("m", 10)))
-    if kind == "toeplitz":
-        return make_toeplitz_problem(
-            int(spec.get("n", 500)),
-            normalize_b=bool(spec.get("normalize_b", True)),
-        )
-    if kind == "random_stable":
-        return random_stable_problem(
-            int(spec.get("n", 40)), int(spec.get("p", 1)),
-            int(spec.get("q", 1)), seed=cfg.seed,
-        )
-    return load_problem(spec["a"], spec["b"], spec["c"], spec.get("e"))
+    build = _KEYS["problem"][spec.pop("kind")][0]
+    seed = {"seed": cfg.seed} if build is random_stable_problem else {}
+    call = inspect.signature(build).bind(*spec.values(), **seed)
+    call.apply_defaults()
+    return build, call
 
 
-def _build_shifts(cfg: RunConfig, problem: CareProblem):
-    """Materialize the shift spec and check that it fits the solver: a
-    ShiftSequence for precomputed kinds, the adaptive strategy string for
-    rksm, [] for dense_exact."""
-    if cfg.solver == "dense_exact":
-        return []
-    spec = cfg.shifts
-    if spec is None:
-        raise ConfigError(f"solver {cfg.solver!r} requires a shifts spec")
-    kind = spec["kind"]
-    if kind == "adaptive":
-        if cfg.solver != "rksm":
-            raise ConfigError(
-                f"adaptive shifts require the rksm solver; give {cfg.solver} "
-                "a penzl or file shift spec"
-            )
-        variant = spec.get("variant", "plain")
-        if variant not in ("plain", "stabilized"):
-            raise ConfigError(
-                f"shifts.variant must be plain or stabilized, got {variant!r}"
-            )
-        return f"adaptive_{variant}"
-    if kind == "penzl":
-        shifts = penzl_shifts(
-            problem, m=int(spec.get("m", 10)), m1=int(spec.get("m1", 20)),
-            m2=int(spec.get("m2", 10)), mode=spec.get("mode", "on_A"),
-        )
-    else:
-        with open(spec["path"]) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"shift file {spec['path']} is not valid JSON: {exc}"
-                ) from exc
-        if isinstance(doc, dict) and "shifts" in doc:
-            doc = doc["shifts"]
-        shifts = ShiftSequence(tuple(complex(re, im) for re, im in doc))
-    if cfg.solver == "rksm" and problem.A.dtype.kind != "c":
-        _check_pairs(shifts.values)
-    return shifts
+# what _prepare raises on a bad config
+_BAD_CONFIG = (ValueError, TypeError, OSError)
 
 
 def _prepare(doc):
     """Everything before the solver call: parse the config, build the
-    problem and the shift input. Returns (cfg, problem, shifts); any failure
-    here is a ConfigError."""
-    try:
-        cfg = RunConfig.from_dict(doc)
-        problem = _build_problem(cfg)
-        return cfg, problem, _build_shifts(cfg, problem)
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc}") from exc
-    except (ValueError, TypeError, OSError) as exc:
-        raise ConfigError(str(exc)) from exc
+    problem and the shift input. Returns (cfg, problem, shifts), where
+    shifts is a ShiftSequence for precomputed kinds, the adaptive strategy
+    string for rksm and [] for dense_exact."""
+    cfg = RunConfig.from_dict(doc)
+    build, call = _problem_call(cfg)
+    problem = build(*call.args, **call.kwargs)
+    if cfg.shifts is None:
+        return cfg, problem, []
+    spec = dict(cfg.shifts)
+    kind = spec.pop("kind")
+    shifts = _KEYS["shifts"][kind][0](problem, **spec)
+    if (cfg.solver == "rksm" and kind != "adaptive"
+            and problem.A.dtype.kind != "c"):
+        _check_pairs(shifts.values)
+    return cfg, problem, shifts
 
 
 def _relative_rank(X):
@@ -226,12 +235,13 @@ def _dense_exact_run(problem):
 def _dense_fixed_point_run(problem, shifts, cfg):
     history = ConvergenceHistory()
     cc = float(np.linalg.norm(problem.C @ problem.C.conj().T))
+    A = problem.A.toarray()
     X = None
     for it in range(1, cfg.max_iter + 1):
         alpha = shifts[(it - 1) % len(shifts)]
         X = dense_subspace_iteration(problem, [alpha], X0=X)[-1].X
         rel = float(np.linalg.norm(
-            care_residual(problem.A.toarray(), problem.B, problem.C, X))) / cc
+            care_residual(A, problem.B, problem.C, X))) / cc
         history.append(it, dim=problem.n, rank=_relative_rank(X),
                        rel_residual=rel)
         if rel <= cfg.tol:
@@ -302,7 +312,7 @@ def cmd_run(doc, out_dir=".") -> int:
     """Run one config; write history CSV + summary JSON into out_dir."""
     try:
         cfg, problem, shifts = _prepare(doc)
-    except ConfigError as exc:
+    except _BAD_CONFIG as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     history, shifts_used = _solve(cfg, problem, shifts)
@@ -311,13 +321,6 @@ def cmd_run(doc, out_dir=".") -> int:
                   json.dumps(_summary_doc(cfg, history, shifts_used),
                              indent=2, sort_keys=True) + "\n")
     return _EXIT_BY_STATUS.get(history.status, 3)
-
-
-def _problem_fingerprint(cfg: RunConfig):
-    doc = dict(cfg.problem)
-    if cfg.problem.get("kind") == "random_stable":
-        doc["seed"] = cfg.seed
-    return json.dumps(doc, sort_keys=True)
 
 
 def cmd_compare(docs, out_dir=".") -> int:
@@ -331,25 +334,23 @@ def cmd_compare(docs, out_dir=".") -> int:
     for i, doc in enumerate(docs):
         try:
             prepared.append(_prepare(doc))
-        except ConfigError as exc:
+        except _BAD_CONFIG as exc:
             print(f"error: config {i}: {exc}", file=sys.stderr)
             return 1
-    if len({_problem_fingerprint(cfg) for cfg, _, _ in prepared}) != 1:
+    calls = [_problem_call(cfg) for cfg, _, _ in prepared]
+    if any(call != calls[0] for call in calls):
         print("error: configs disagree on the problem under test",
               file=sys.stderr)
         return 1
 
-    labels = []
     series = []
     reached = {}
     worst = 0
     for i, (cfg, problem, shifts) in enumerate(prepared):
         label = f"run{i}_{cfg.solver}"
         if cfg.shifts is not None:
-            label += "_" + cfg.shifts["kind"]
-            if cfg.shifts["kind"] == "adaptive":
-                label += "_" + cfg.shifts.get("variant", "plain")
-        labels.append(label)
+            label += "_" + (shifts if isinstance(shifts, str)
+                            else cfg.shifts["kind"])
         history, _ = _solve(cfg, problem, shifts, label)
         per_dim = {}
         hit = None
@@ -363,7 +364,7 @@ def cmd_compare(docs, out_dir=".") -> int:
         worst = max(worst, _EXIT_BY_STATUS.get(history.status, 3))
 
     dims = sorted(set().union(*series))
-    lines = ["dim," + ",".join(f"rel_residual_{lb}" for lb in labels)]
+    lines = ["dim," + ",".join(f"rel_residual_{lb}" for lb in reached)]
     for d in dims:
         row = [str(d)]
         for s in series:
@@ -372,12 +373,8 @@ def cmd_compare(docs, out_dir=".") -> int:
     _atomic_write(os.path.join(out_dir, "compare.csv"), "\n".join(lines) + "\n")
 
     finishers = {lb: d for lb, d in reached.items() if d is not None}
-    if not finishers:
-        winner = "tie"
-    else:
-        best = min(finishers.values())
-        tied = [lb for lb, d in finishers.items() if d == best]
-        winner = tied[0] if len(tied) == 1 else "tie"
+    tied = [lb for lb, d in finishers.items() if d == min(finishers.values())]
+    winner = tied[0] if len(tied) == 1 else "tie"
     verdict = {"winner": winner, "reached_tol_at_dim": reached}
     _atomic_write(os.path.join(out_dir, "verdict.json"),
                   json.dumps(verdict, indent=2, sort_keys=True) + "\n")

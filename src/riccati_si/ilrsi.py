@@ -38,6 +38,7 @@ worker before it stops it, and ``ilrsi_solve`` runs inside the solver's
 
 from __future__ import annotations
 
+import numbers
 import operator
 import os
 from collections import Counter
@@ -68,13 +69,17 @@ class SolverBreakdown(RuntimeError):
 
 def check_stopping(tol, max_iter):
     """The stopping inputs of both solvers and of the CLI, checked: returns
-    (tol, max_iter) as (float, int). Raises ValueError unless tol is finite
-    and positive and max_iter is a nonnegative integer (an int, not a float
-    that happens to be whole)."""
+    (tol, max_iter) as (float, int). Raises ValueError unless tol is a
+    finite positive real and max_iter a nonnegative integer (an int, not a
+    float that happens to be whole). A bool is neither."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise ValueError(f"tol must be a real number, got {tol!r}")
     tol = float(tol)
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     try:
+        if isinstance(max_iter, bool):
+            raise TypeError
         steps = operator.index(max_iter)
     except TypeError:
         raise ValueError(

@@ -40,23 +40,50 @@ def base_config(**overrides):
     return doc
 
 
-# Config overrides that are bad before the solver call: in run and in
-# compare each exits 1 with an error line and writes no outputs. A NaN tol
-# would never be met, an infinite one at the first step, and a fractional
-# max_iter would be rounded down; the other keys are not config keys.
+# Config overrides that are bad before the solver call, each with the key
+# its error line names: in run and in compare each exits 1 with an error
+# line and writes no outputs. A NaN tol would never be met, an infinite one
+# at the first step, and a fractional max_iter would be rounded down; the
+# other keys are not config keys. Each value must have its key's JSON type:
+# a bool is not an integer, and an integer path would be opened as a file
+# descriptor (0 is the CLI's stdin).
 _BAD_CONFIGS = {
-    "non-numeric-max-iter": {"max_iter": "ten"},
-    "files-without-a": {"problem": {"kind": "files", "b": "b.mtx",
-                                    "c": "c.mtx"}},
-    "nan-tol": {"tol": float("nan")},
-    "infinite-tol": {"tol": float("inf")},
-    "fractional-max-iter": {"max_iter": 2.5},
-    "truncation-tol": {"truncation_tol": 1e-8},
-    "out-names": {"out": {"history": "../escaped.csv"}},
-    "toeplitz-raw": {"problem": {"kind": "toeplitz", "n": 50, "raw": True}},
+    "non-numeric-max-iter": ({"max_iter": "ten"}, "max_iter"),
+    "files-without-a": ({"problem": {"kind": "files", "b": "b.mtx",
+                                     "c": "c.mtx"}}, "problem.a"),
+    "nan-tol": ({"tol": float("nan")}, "tol"),
+    "infinite-tol": ({"tol": float("inf")}, "tol"),
+    "fractional-max-iter": ({"max_iter": 2.5}, "max_iter"),
+    "truncation-tol": ({"truncation_tol": 1e-8}, "truncation_tol"),
+    "out-names": ({"out": {"history": "../escaped.csv"}}, "'out'"),
+    "toeplitz-raw": ({"problem": {"kind": "toeplitz", "n": 50, "raw": True}},
+                     "raw"),
+    "coerced-fields": ({"problem": {"kind": "toeplitz", "n": 60.9,
+                                    "normalize_b": "false"},
+                        "shifts": {"kind": "penzl", "m": 4.8}, "seed": 3.7},
+                       "problem.n"),
+    "fractional-n": ({"problem": {"kind": "toeplitz", "n": 60.9}},
+                     "problem.n"),
+    "string-normalize-b": ({"problem": {"kind": "toeplitz", "n": 50,
+                                        "normalize_b": "false"}},
+                           "problem.normalize_b"),
+    "fractional-penzl-m": ({"shifts": {"kind": "penzl", "m": 4.8}},
+                           "shifts.m"),
+    "fractional-seed": ({"seed": 3.7}, "seed"),
+    "string-n": ({"problem": {"kind": "random_stable", "n": "12"}},
+                 "problem.n"),
+    "float-p": ({"problem": {"kind": "random_stable", "n": 12, "p": 1.0}},
+                "problem.p"),
+    "bool-max-iter": ({"max_iter": True}, "max_iter"),
+    "bool-tol": ({"tol": True}, "tol"),
+    "string-tol": ({"tol": "1e-8"}, "tol"),
+    "integer-shift-path": ({"shifts": {"kind": "file", "path": 0}},
+                           "shifts.path"),
+    "integer-matrix-path": ({"problem": {"kind": "files", "a": 1, "b": "b",
+                                         "c": "c"}}, "problem.a"),
 }
 _bad_configs = pytest.mark.parametrize(
-    "overrides", list(_BAD_CONFIGS.values()), ids=list(_BAD_CONFIGS))
+    "overrides,key", list(_BAD_CONFIGS.values()), ids=list(_BAD_CONFIGS))
 
 
 class TestRun:
@@ -172,16 +199,53 @@ class TestRun:
         assert not (out / "summary.json").exists()
 
     @_bad_configs
-    def test_bad_config_is_error(self, tmp_path, capsys, overrides):
+    def test_bad_config_is_error(self, tmp_path, capsys, overrides, key):
         cfg = write_config(tmp_path / "cfg.json", base_config(**overrides))
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert key in err
         assert "Traceback" not in err
         assert not (out / "history.csv").exists()
         assert not (out / "summary.json").exists()
         assert not (tmp_path / "escaped.csv").exists()
+
+    def test_integer_shift_path_does_not_read_stdin(self, tmp_path):
+        # open(0) would read the CLI's stdin, and wait while it stays open
+        cfg = write_config(tmp_path / "cfg.json",
+                           base_config(shifts={"kind": "file", "path": 0}))
+        out = tmp_path / "out"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "riccati_si.cli", "run", "--config", cfg,
+             "--out", str(out)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        try:
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            _, err = proc.communicate()
+        assert code == 1
+        assert err.startswith("error: shifts.path must be a string")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shifts", [
+        {"kind": "penzl", "m": 4},
+        {"kind": "file"},
+        {"kind": "penzl", "m": -3},
+    ], ids=["penzl", "file-without-path", "negative-penzl-m"])
+    def test_dense_exact_takes_no_shifts(self, tmp_path, capsys, shifts):
+        # dense_exact would never read the spec, so it is a bad config
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"problem": {"kind": "random_stable", "n": 12},
+             "solver": "dense_exact", "shifts": shifts})
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: solver dense_exact takes no shifts")
+        assert not out.exists()
 
     def test_malformed_shift_file_names_its_path(self, tmp_path, capsys):
         path = tmp_path / "bad_shifts.json"
@@ -247,6 +311,20 @@ class TestCompare:
         assert proc.returncode == 1
         assert "disagree" in proc.stderr
 
+    @pytest.mark.parametrize("problems", [
+        ({"kind": "laplacian"}, {"kind": "laplacian", "m": 10}),
+        ({"kind": "toeplitz", "n": 50},
+         {"kind": "toeplitz", "n": 50, "normalize_b": True}),
+    ], ids=["laplacian-m", "toeplitz-normalize-b"])
+    def test_spelled_out_default_is_the_same_problem(self, tmp_path, capsys,
+                                                     problems):
+        a, b = (write_config(tmp_path / f"{i}.json", base_config(problem=p))
+                for i, p in enumerate(problems))
+        assert cli.main(["compare", "--configs", a, b,
+                         "--out", str(tmp_path)]) == 0
+        assert "disagree" not in capsys.readouterr().err
+        assert (tmp_path / "verdict.json").exists()
+
     def test_valid_overlay(self, tmp_path):
         a = write_config(tmp_path / "a.json", base_config())
         b = write_config(tmp_path / "b.json", base_config(solver="rksm"))
@@ -262,7 +340,7 @@ class TestCompare:
         assert verdict["winner"] in labels | {"tie"}
 
     @_bad_configs
-    def test_bad_config_is_error(self, tmp_path, capsys, overrides):
+    def test_bad_config_is_error(self, tmp_path, capsys, overrides, key):
         a = write_config(tmp_path / "a.json", base_config(**overrides))
         b = write_config(tmp_path / "b.json",
                          base_config(solver="rksm", **overrides))
@@ -270,6 +348,7 @@ class TestCompare:
                          "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert key in err
         assert "Traceback" not in err
         assert not (tmp_path / "compare.csv").exists()
 

@@ -22,7 +22,7 @@ from riccati_si import (
     residual_norm,
     rksm_solve,
 )
-from riccati_si.ilrsi import _BasisQR
+from riccati_si.ilrsi import _BasisQR, check_stopping
 from oracles import (
     adi_lyapunov_dense,
     dense_riccati_residual,
@@ -398,9 +398,17 @@ class TestSolverLoop:
             ({"tol": float("nan")}, "tol must be positive"),
             ({"tol": float("inf")}, "tol must be positive"),
             ({"tol": 0.0}, "tol must be positive"),
+            ({"max_iter": True}, "max_iter must be an integer"),
+            ({"tol": True}, "tol must be a real number"),
+            ({"tol": "1e-8"}, "tol must be a real number"),
         ]:
             with pytest.raises(ValueError, match=match):
                 solve(p, [1.0], **options)
+
+    def test_numpy_scalar_stopping_inputs_accepted(self):
+        tol, max_iter = check_stopping(np.float32(0.5), np.int64(3))
+        assert (tol, max_iter) == (0.5, 3)
+        assert type(tol) is float and type(max_iter) is int
 
     def test_max_iter_exhaustion(self):
         p = random_stable_problem(15, 1, 1, seed=2)

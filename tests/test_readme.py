@@ -1,6 +1,8 @@
 """README's library example and its JSON config run as written, and the
 config keys it names are the ones the CLI accepts."""
 
+import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
@@ -30,6 +32,27 @@ def test_json_config_runs(tmp_path):
 
 
 def test_named_config_keys_are_accepted():
-    listed = re.search(r"Top-level keys: (.*?);", README.read_text(), re.S)
+    text = README.read_text()
+    listed = re.search(r"Top-level keys: (.*?);", text, re.S)
     keys = set(re.findall(r"`(\w+)`", listed.group(1)))
-    assert keys == cli._TOP_KEYS
+    assert keys == {f.name for f in dataclasses.fields(cli.RunConfig)}
+    # README's key table: every key of every problem and shift kind, with
+    # its JSON type and default. A default the CLI leaves to the builder
+    # is the builder's own, found by the key's place in its signature
+    # (shift builders take the problem first)
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| `(\w+)` \| (\w+) \| "
+                      r"(required|`[^`]*`)", text, re.M)
+    documented = {row[:3]: row[3:] for row in rows}
+    assert len(documented) == len(rows)
+    table = {}
+    for section, offset in (("problem", 0), ("shifts", 1)):
+        for kind, (build, keys) in cli._KEYS[section].items():
+            params = list(inspect.signature(build).parameters.values())
+            for i, (key, (typ, default)) in enumerate(keys.items()):
+                if default is cli._OWN:
+                    default = params[i + offset].default
+                table[section, kind, key] = (
+                    cli._TYPE_NAMES[typ].split()[-1],
+                    "required" if default is cli._REQUIRED
+                    else f"`{json.dumps(default)}`")
+    assert documented == table
