@@ -76,7 +76,22 @@ def _shift_file(problem, path):
                 f"shift file {path} is not valid JSON: {exc}") from exc
     if isinstance(doc, dict) and "shifts" in doc:
         doc = doc["shifts"]
-    return ShiftSequence(tuple(complex(re, im) for re, im in doc))
+    if not isinstance(doc, list):
+        raise ValueError(f"shift file {path} must hold a list of "
+                         f"[re, im] pairs, got {json.dumps(doc)}")
+    return ShiftSequence(tuple(_shift_entry(path, i, entry)
+                               for i, entry in enumerate(doc)))
+
+
+def _shift_entry(path, i, entry):
+    """Entry i of a shift file as a shift: a pair of finite JSON numbers,
+    which bools are not."""
+    if isinstance(entry, list) and len(entry) == 2 and all(
+            type(x) in (int, float) and abs(x) <= sys.float_info.max
+            for x in entry):
+        return complex(*entry)
+    raise ValueError(f"shift file {path}: entry {i} must be a pair of "
+                     f"finite numbers [re, im], got {json.dumps(entry)}")
 
 
 _REQUIRED = object()  # the config must give the key

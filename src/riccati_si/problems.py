@@ -121,8 +121,8 @@ def factor_path(A, E=None) -> tuple:
     (kl = 0, 1.99 times the nonzeros at n = 200). There, on a 2-vCPU
     x86-64 VM with one BLAS thread, a shifted factor, real or complex and
     with the shift added, takes about 0.02 ms on the band path against
-    0.9-1.0 ms with SuperLU, and a two-column solve 0.015-0.025 ms against
-    0.04-0.07 ms.
+    0.8-1.2 ms with SuperLU, and a two-column solve 0.01-0.03 ms against
+    0.05-0.08 ms.
     2-D Laplacians on an m x m grid take SuperLU (band storage about 0.6 m
     times the nonzeros), and so does the lower triangular A of
     ``random_stable_problem`` itself (2 n^2 - n band entries against
@@ -131,7 +131,17 @@ def factor_path(A, E=None) -> tuple:
 
     SuperLU's ordering is minimum degree on A* + A when the pattern is
     structurally symmetric, where it needs far less fill than COLAMD, and
-    COLAMD otherwise."""
+    COLAMD otherwise. Every SuperLU factor is made by ``ilrsi._superlu``
+    with two settings that are not SuperLU's defaults (same VM, SciPy
+    1.17, median factor time over the default's). ``relax=1`` stops
+    SuperLU padding small elimination subtrees into supernodes: a 3-D
+    7-point Laplacian then stores 0.40 times the entries at k = 16 and
+    factors in 0.21-0.29 of the time at k = 12-24, while a 2-D Laplacian
+    keeps 0.88 of the entries at m = 40 and 0.998 at m = 200.
+    ``panel_size=2`` (the default is 20) suits the narrow supernodes of
+    2-D patterns, whose factors then take 0.69-0.80 of the time; with
+    ``relax=1`` it leaves 3-D factors as fast as ``relax=1`` alone, where
+    with the default ``relax`` it makes them up to 1.2 times slower."""
     S = abs(sp.csr_matrix(A))
     if E is not None:
         S = S + abs(sp.csr_matrix(E))

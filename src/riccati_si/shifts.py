@@ -8,6 +8,7 @@ looks at A - BB*X for the current approximate solution X instead of A alone).
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass, field
 
@@ -35,6 +36,8 @@ class ShiftSequence:
         if self.origin not in ORIGINS:
             raise ValueError(f"unknown origin tag {self.origin!r}")
         for v in vals:
+            if not cmath.isfinite(v):
+                raise ValueError(f"shift {v} is not finite")
             if not v.real > 0.0:
                 raise ValueError(f"shift {v} does not have positive real part")
         for v in vals:

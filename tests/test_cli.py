@@ -258,6 +258,31 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: shift file {path} is not valid JSON")
 
+    @pytest.mark.parametrize("text,error", [
+        ("[[true, false], [2, 0]]", ": entry 0 must be a pair of finite"),
+        ("[[2, 0], [Infinity, 0]]", ": entry 1 must be a pair of finite"),
+        ("[[1, 0, 5]]", ": entry 0 must be a pair of finite"),
+        ("[[1, NaN]]", ": entry 0 must be a pair of finite"),
+        ('[[1, "0"]]', ": entry 0 must be a pair of finite"),
+        ("[3]", ": entry 0 must be a pair of finite"),
+        ('{"shifts": [[2, 0], [1%s, 0]]}' % ("0" * 400),
+         ": entry 1 must be a pair of finite"),
+        ('{"shifts": 2}', " must hold a list of [re, im] pairs"),
+    ], ids=["bools", "infinity", "triple", "nan", "string", "bare-number",
+            "integer-overflow", "not-a-list"])
+    def test_malformed_shift_entry_is_error(self, tmp_path, capsys, text,
+                                            error):
+        path = tmp_path / "bad_shifts.json"
+        path.write_text(text)
+        cfg = write_config(tmp_path / "cfg.json",
+                           base_config(shifts={"kind": "file",
+                                               "path": str(path)}))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: shift file {path}{error}")
+        assert not out.exists()
+
     def test_dense_exact_single_row(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",

@@ -132,6 +132,35 @@ class TestDispatch:
         assert not isinstance(sparse_lu(problem.A), _BandLU)
 
 
+def laplacian_3d(k):
+    """Seven-point Laplacian on a k x k x k grid (negative definite)."""
+    L = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(k, k))
+    Ik = sp.identity(k)
+    return (sp.kron(sp.kron(Ik, Ik), L) + sp.kron(sp.kron(Ik, L), Ik)
+            + sp.kron(sp.kron(L, Ik), Ik)).tocsc()
+
+
+class TestSuperLUSettings:
+    def test_no_relaxed_supernodes_by_count(self):
+        # SuperLU's default relaxed supernodes pad this 3-D pattern's
+        # factor to 40,262 entries; relax=1 with 2-column panels stores
+        # 24,000
+        A = laplacian_3d(8)
+        n = A.shape[0]
+        problem = CareProblem(A=A, B=np.ones((n, 1)),
+                              C=np.eye(1, n), check_stability=False)
+        solver = ShiftedSolver(problem)
+        assert solver.factor_path == ("superlu", "MMD_AT_PLUS_A")
+        solver.solve(3.0, np.ones((n, 1)))
+        M = sp.csc_matrix(3.0 * sp.identity(n) - A)
+        want = splu(M, permc_spec="MMD_AT_PLUS_A", relax=1,
+                    panel_size=2).nnz
+        default = splu(M, permc_spec="MMD_AT_PLUS_A").nnz
+        for lu in (solver.cache[3.0], sparse_lu(M)):
+            assert lu.nnz == want
+            assert lu.nnz < default
+
+
 def force_superlu(monkeypatch):
     """Send every factorization to SuperLU, with the ordering a structurally
     nonsymmetric pattern such as Toeplitz gets."""

@@ -38,6 +38,14 @@ class TestShiftSequence:
         with pytest.raises(ValueError, match="positive real part"):
             ShiftSequence((0.0 + 1.0j,))
 
+    @pytest.mark.parametrize("value", [
+        complex(1.0, np.inf), np.inf, complex(np.inf, np.inf),
+        complex(np.nan, 0.0), complex(1.0, np.nan)])
+    def test_finite_values_required(self, value):
+        # 1 + inf j passed the conjugation check, whose distance was NaN
+        with pytest.raises(ValueError, match="not finite"):
+            ShiftSequence((value, np.conj(value), 2.0))
+
     def test_conjugation_closure_required(self):
         with pytest.raises(ValueError, match="conjugation"):
             ShiftSequence((1.0 + 2.0j, 3.0))
